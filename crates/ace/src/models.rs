@@ -11,7 +11,9 @@
 //! * **`seu-reg`** — the existing [`CertPlan`]: live read windows execute
 //!   64 single-bit flips at the representative, dead windows are provably
 //!   unACE (DESIGN.md §11). The generalized plan reproduces it verbatim
-//!   and exists only so tests can cross-check the two code paths.
+//!   (one `RegXor { mask: 1 << bit }` effect per bit), which is how
+//!   monolithic `seu-reg` certification executes; the sectional store
+//!   path keeps the [`CertPlan`] shape its records encode.
 //! * **`multi-bit`** — the window equivalence holds for *any* XOR mask of
 //!   a register, not just single bits: the clobber/first-read argument
 //!   never inspects which bits differ. The same windows are reused with
@@ -38,13 +40,12 @@
 //!   memory faults remain a sampled-campaign model.
 
 use crate::liveness::{CertPlan, LivenessIndex, SiteFate};
-use crate::report::CertifiedCoverage;
+use crate::report::{CertifiedCoverage, Window};
 use crate::trace::DefUseTrace;
-use sor_ir::{PInst, Program, ProtectionRole};
+use sor_ir::{PInst, Program};
 use sor_models::{FaultModel, SampleCtx};
 use sor_sim::{FaultEffect, GenFault, INJECTABLE_REGS};
 use sor_stats::OutcomeCounts;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Why a model has no certification plan.
@@ -348,54 +349,24 @@ impl GenCertPlan {
             self.classes.len(),
             "one executed histogram per class"
         );
-        let mut counts = OutcomeCounts::default();
-        let mut sites: BTreeMap<usize, OutcomeCounts> = BTreeMap::new();
-        let mut roles: BTreeMap<ProtectionRole, OutcomeCounts> = BTreeMap::new();
-        let mut add = |slot: u64, agg: OutcomeCounts| {
-            let pc = trace.check_pc(slot);
-            counts += agg;
-            *sites.entry(pc).or_default() += agg;
-            *roles.entry(program.role_of(pc)).or_default() += agg;
-        };
-        for (class, &agg) in self.classes.iter().zip(class_results) {
-            assert_eq!(
-                agg.total(),
-                class.effects.len() as u64,
-                "a class executes one run per effect"
-            );
-            for slot in class.lo..=class.hi {
-                add(slot, agg);
-            }
-        }
-        for window in &self.analytic {
-            let agg = OutcomeCounts {
-                unace: window.per_slot,
-                recoveries: window.per_slot * golden_recoveries,
-                ..OutcomeCounts::default()
-            };
-            for slot in window.lo..=window.hi {
-                add(slot, agg);
-            }
-        }
-        let report = CertifiedCoverage {
-            workload: workload.to_string(),
-            technique: technique.to_string(),
-            golden_instrs: self.golden_len,
-            total_sites: self.total_sites(),
-            dead_sites: self.analytic_sites(),
-            live_sites: self.live_sites(),
-            classes: self.classes.len() as u64,
-            injections_executed: self.injections(),
-            counts,
-            sites,
-            roles,
-        };
-        assert_eq!(
-            report.counts.total(),
-            report.total_sites,
-            "every site of the model's space contributes exactly one outcome"
-        );
-        report
+        let executed = self
+            .classes
+            .iter()
+            .zip(class_results)
+            .map(|(c, &agg)| Window::executed(c.lo, c.hi, c.effects.len() as u64, agg));
+        let analytic = self
+            .analytic
+            .iter()
+            .map(|w| Window::golden(w.lo, w.hi, w.per_slot, golden_recoveries));
+        CertifiedCoverage::walk(
+            workload,
+            technique,
+            program,
+            trace,
+            self.total_sites(),
+            executed,
+            analytic,
+        )
     }
 }
 
@@ -453,7 +424,7 @@ mod tests {
             .map(|class| {
                 let mut agg = OutcomeCounts::default();
                 for fault in class.faults() {
-                    let (outcome, res) = replayer.run_fault_gen(fault);
+                    let (outcome, res) = replayer.run_fault(fault);
                     agg.record(outcome, res.probes.vote_repairs + res.probes.trump_recovers);
                 }
                 agg
@@ -535,7 +506,7 @@ mod tests {
         for slot in 0..trace.len() {
             for bit in 0..64 {
                 let fault = GenFault::new(slot, FaultEffect::AluXor { mask: 1 << bit });
-                let (outcome, res) = replayer.run_fault_gen(fault);
+                let (outcome, res) = replayer.run_fault(fault);
                 brute.record(outcome, res.probes.vote_repairs + res.probes.trump_recovers);
             }
         }
@@ -562,7 +533,7 @@ mod tests {
         for slot in 0..trace.len() {
             for bit in 0..pc_bits {
                 let fault = GenFault::new(slot, FaultEffect::PcXor { mask: 1 << bit });
-                let (outcome, res) = replayer.run_fault_gen(fault);
+                let (outcome, res) = replayer.run_fault(fault);
                 brute.record(outcome, res.probes.vote_repairs + res.probes.trump_recovers);
             }
         }
@@ -589,8 +560,8 @@ mod tests {
             let i = rng.gen_range(0, masks.len() as u64) as usize;
             let at = rng.gen_range(class.lo, class.hi + 1);
             let (rep_outcome, rep_res) =
-                replayer.run_fault_gen(GenFault::new(class.rep, class.effects[i]));
-            let (outcome, res) = replayer.run_fault_gen(GenFault::new(at, class.effects[i]));
+                replayer.run_fault(GenFault::new(class.rep, class.effects[i]));
+            let (outcome, res) = replayer.run_fault(GenFault::new(at, class.effects[i]));
             assert_eq!(
                 outcome, rep_outcome,
                 "window slot diverged from representative"
@@ -610,7 +581,7 @@ mod tests {
                 .reg;
             let mask = masks[rng.gen_range(0, masks.len() as u64) as usize];
             let (outcome, res) =
-                replayer.run_fault_gen(GenFault::new(at, FaultEffect::RegXor { reg, mask }));
+                replayer.run_fault(GenFault::new(at, FaultEffect::RegXor { reg, mask }));
             assert_eq!(outcome, Outcome::UnAce, "pruned burst site was not unACE");
             assert_eq!(
                 res.probes,

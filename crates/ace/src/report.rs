@@ -69,51 +69,84 @@ impl CertifiedCoverage {
             plan.classes.len(),
             "one executed histogram per live class"
         );
-        let mut counts = OutcomeCounts::default();
-        let mut sites: BTreeMap<usize, OutcomeCounts> = BTreeMap::new();
-        let mut roles: BTreeMap<ProtectionRole, OutcomeCounts> = BTreeMap::new();
-        let mut add = |slot: u64, agg: OutcomeCounts| {
-            let pc = trace.check_pc(slot);
-            counts += agg;
-            *sites.entry(pc).or_default() += agg;
-            *roles.entry(program.role_of(pc)).or_default() += agg;
-        };
-        for (range, &agg) in plan.classes.iter().zip(class_results) {
-            assert_eq!(agg.total(), 64, "a class representative is 64 injections");
-            // Every slot of the window reaches the representative's read
-            // with identical machine state, hence an identical histogram.
-            for slot in range.lo..=range.hi {
-                add(slot, agg);
-            }
-        }
-        // A dead site's 64 injections all replay the golden run.
-        let dead_agg = OutcomeCounts {
-            unace: 64,
-            recoveries: 64 * golden_recoveries,
-            ..OutcomeCounts::default()
-        };
-        for range in &plan.dead {
-            for slot in range.lo..=range.hi {
-                add(slot, dead_agg);
-            }
-        }
-        let report = CertifiedCoverage {
+        // Every slot of a live window reaches the representative's read
+        // with identical machine state, hence an identical histogram.
+        let executed = plan
+            .classes
+            .iter()
+            .zip(class_results)
+            .map(|(r, &agg)| Window::executed(r.lo, r.hi, 64, agg));
+        let dead = plan
+            .dead
+            .iter()
+            .map(|r| Window::golden(r.lo, r.hi, 64, golden_recoveries));
+        Self::walk(
+            workload,
+            technique,
+            program,
+            trace,
+            plan.total_sites(),
+            executed,
+            dead,
+        )
+    }
+
+    /// The window walk every plan shape assembles through: expands each
+    /// executed class and each provably-unACE window over its slots,
+    /// attributing every slot to the static instruction (and role) its
+    /// injection check lands on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the windows do not tile `total_sites`.
+    pub(crate) fn walk(
+        workload: &str,
+        technique: &str,
+        program: &Program,
+        trace: &DefUseTrace,
+        total_sites: u64,
+        executed: impl IntoIterator<Item = Window>,
+        analytic: impl IntoIterator<Item = Window>,
+    ) -> CertifiedCoverage {
+        let mut report = CertifiedCoverage {
             workload: workload.to_string(),
             technique: technique.to_string(),
-            golden_instrs: plan.golden_len,
-            total_sites: plan.total_sites(),
-            dead_sites: plan.dead_sites(),
-            live_sites: plan.live_sites(),
-            classes: plan.classes.len() as u64,
-            injections_executed: plan.injections(),
-            counts,
-            sites,
-            roles,
+            golden_instrs: trace.len(),
+            total_sites,
+            dead_sites: 0,
+            live_sites: 0,
+            classes: 0,
+            injections_executed: 0,
+            counts: OutcomeCounts::default(),
+            sites: BTreeMap::new(),
+            roles: BTreeMap::new(),
         };
+        let mut add = |w: &Window| {
+            for slot in w.lo..=w.hi {
+                let pc = trace.check_pc(slot);
+                report.counts += w.agg;
+                *report.sites.entry(pc).or_default() += w.agg;
+                *report.roles.entry(program.role_of(pc)).or_default() += w.agg;
+            }
+            (w.hi - w.lo + 1) * w.per_slot
+        };
+        let (mut classes, mut injections, mut live, mut dead) = (0, 0, 0, 0);
+        for w in executed {
+            classes += 1;
+            injections += w.per_slot;
+            live += add(&w);
+        }
+        for w in analytic {
+            dead += add(&w);
+        }
+        report.classes = classes;
+        report.injections_executed = injections;
+        report.live_sites = live;
+        report.dead_sites = dead;
         assert_eq!(
             report.counts.total(),
             report.total_sites,
-            "every site contributes exactly one outcome"
+            "every site of the fault space contributes exactly one outcome"
         );
         report
     }
@@ -127,5 +160,48 @@ impl CertifiedCoverage {
     /// sampling can estimate but never prove.
     pub fn fully_unace(&self) -> bool {
         self.counts.unace == self.total_sites
+    }
+}
+
+/// A run of slots `lo..=hi` whose every slot contributes `per_slot` fault
+/// sites with the aggregate outcome histogram `agg`.
+pub(crate) struct Window {
+    lo: u64,
+    hi: u64,
+    per_slot: u64,
+    agg: OutcomeCounts,
+}
+
+impl Window {
+    /// An executed class: `agg` aggregates one run per effect injected at
+    /// its representative.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `agg` does not hold exactly `runs` classified runs.
+    pub(crate) fn executed(lo: u64, hi: u64, runs: u64, agg: OutcomeCounts) -> Window {
+        assert_eq!(agg.total(), runs, "a class executes one run per effect");
+        Window {
+            lo,
+            hi,
+            per_slot: runs,
+            agg,
+        }
+    }
+
+    /// A provably-unACE window: each of its `per_slot` sites per slot
+    /// replays the golden run, credited with the golden run's
+    /// `golden_recoveries` recovery probes.
+    pub(crate) fn golden(lo: u64, hi: u64, per_slot: u64, golden_recoveries: u64) -> Window {
+        Window {
+            lo,
+            hi,
+            per_slot,
+            agg: OutcomeCounts {
+                unace: per_slot,
+                recoveries: per_slot * golden_recoveries,
+                ..OutcomeCounts::default()
+            },
+        }
     }
 }

@@ -29,6 +29,6 @@ fn main() {
 
     let f = FaultSpec::new(golden.dyn_instrs / 2, 7, 13);
     report("machine", "fault_run", || {
-        Machine::new(&program, &MachineConfig::default()).run(Some(f))
+        Machine::new(&program, &MachineConfig::default()).run(Some(f.into()))
     });
 }

@@ -58,20 +58,14 @@ fn brute_force(runner: &Runner, threads: usize) -> OutcomeCounts {
 }
 
 fn main() {
-    let samples: u64 = sor_bench::arg_value("--samples")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
-    let threads: usize = sor_bench::arg_value("--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        });
+    let samples: u64 = sor_bench::parsed_arg("--samples").unwrap_or(4);
+    let threads: usize = sor_bench::parsed_arg("--threads").unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+    });
 
-    let lanes: usize = sor_bench::arg_value("--lanes")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
+    let lanes: usize = sor_bench::parsed_arg("--lanes").unwrap_or(1);
 
     let workload = AdpcmDec { samples, seed: 1 };
     let technique = Technique::SwiftR;

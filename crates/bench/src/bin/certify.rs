@@ -28,15 +28,9 @@ use sor_harness::{
 use sor_workloads::{AdpcmDec, Workload};
 
 fn main() {
-    let samples: u64 = sor_bench::arg_value("--samples")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(40);
-    let threads: usize = sor_bench::arg_value("--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let sections: usize = sor_bench::arg_value("--sections")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8);
+    let samples: u64 = sor_bench::parsed_arg("--samples").unwrap_or(40);
+    let threads: usize = sor_bench::parsed_arg("--threads").unwrap_or(0);
+    let sections: usize = sor_bench::parsed_arg("--sections").unwrap_or(8);
     let model = sor_bench::fault_model_arg();
     if model == FaultModel::MemBit {
         eprintln!(

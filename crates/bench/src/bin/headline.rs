@@ -14,9 +14,7 @@ use sor_workloads::all_workloads;
 
 fn main() {
     let runs = sor_bench::runs_arg(250);
-    let seed = sor_bench::arg_value("--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0x5EED);
+    let seed = sor_bench::parsed_arg("--seed").unwrap_or(0x5EED);
     let want_json = std::env::args().any(|a| a == "--json");
     let suite = all_workloads();
     let cfg = CampaignConfig {

@@ -47,15 +47,9 @@ fn sweep(
 }
 
 fn main() {
-    let samples: u64 = sor_bench::arg_value("--samples")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(40);
-    let threads: usize = sor_bench::arg_value("--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let sections: usize = sor_bench::arg_value("--sections")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8);
+    let samples: u64 = sor_bench::parsed_arg("--samples").unwrap_or(40);
+    let threads: usize = sor_bench::parsed_arg("--threads").unwrap_or(0);
+    let sections: usize = sor_bench::parsed_arg("--sections").unwrap_or(8);
     let cfg = CertifyConfig {
         threads,
         sections,

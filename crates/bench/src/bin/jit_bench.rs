@@ -22,12 +22,8 @@ use std::time::Instant;
 
 fn main() {
     let runs = sor_bench::runs_arg(2000);
-    let threads: usize = sor_bench::arg_value("--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let samples: u64 = sor_bench::arg_value("--samples")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(400);
+    let threads: usize = sor_bench::parsed_arg("--threads").unwrap_or(0);
+    let samples: u64 = sor_bench::parsed_arg("--samples").unwrap_or(400);
 
     let workload = AdpcmDec { samples, seed: 1 };
     let technique = Technique::SwiftR;

@@ -19,12 +19,8 @@ use std::time::Instant;
 
 fn main() {
     let runs = sor_bench::runs_arg(500);
-    let threads: usize = sor_bench::arg_value("--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let samples: u64 = sor_bench::arg_value("--samples")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100);
+    let threads: usize = sor_bench::parsed_arg("--threads").unwrap_or(0);
+    let samples: u64 = sor_bench::parsed_arg("--samples").unwrap_or(100);
 
     let workload = AdpcmDec { samples, seed: 1 };
     let techniques = [Technique::SwiftR, Technique::Cfcss];

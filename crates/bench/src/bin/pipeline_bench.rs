@@ -27,12 +27,8 @@ use std::time::Instant;
 const REQUESTS_PER_KEY: usize = 3;
 
 fn main() {
-    let samples: u64 = sor_bench::arg_value("--samples")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(400);
-    let reps: usize = sor_bench::arg_value("--reps")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
+    let samples: u64 = sor_bench::parsed_arg("--samples").unwrap_or(400);
+    let reps: usize = sor_bench::parsed_arg("--reps").unwrap_or(3);
     let tc = TransformConfig::default();
     let lc = LowerConfig::default();
 

@@ -22,18 +22,10 @@ use std::time::Instant;
 const SUITE: [Technique; 3] = [Technique::SwiftR, Technique::Trump, Technique::Mask];
 
 fn main() {
-    let clients: usize = sor_bench::arg_value("--clients")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
-    let samples: u64 = sor_bench::arg_value("--samples")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8);
-    let sections: usize = sor_bench::arg_value("--sections")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
-    let threads: usize = sor_bench::arg_value("--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
+    let clients: usize = sor_bench::parsed_arg("--clients").unwrap_or(4);
+    let samples: u64 = sor_bench::parsed_arg("--samples").unwrap_or(8);
+    let sections: usize = sor_bench::parsed_arg("--sections").unwrap_or(4);
+    let threads: usize = sor_bench::parsed_arg("--threads").unwrap_or(2);
     let jobs = clients * SUITE.len();
 
     // Baseline: every client certifies its whole suite from scratch,

@@ -27,18 +27,10 @@ use sor_workloads::{AdpcmDec, Workload};
 
 fn main() {
     let runs = sor_bench::runs_arg(400);
-    let threads: usize = sor_bench::arg_value("--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let samples: u64 = sor_bench::arg_value("--samples")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200);
-    let top: usize = sor_bench::arg_value("--top")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10);
-    let sections: usize = sor_bench::arg_value("--sections")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8);
+    let threads: usize = sor_bench::parsed_arg("--threads").unwrap_or(0);
+    let samples: u64 = sor_bench::parsed_arg("--samples").unwrap_or(200);
+    let top: usize = sor_bench::parsed_arg("--top").unwrap_or(10);
+    let sections: usize = sor_bench::parsed_arg("--sections").unwrap_or(8);
     let model = sor_bench::fault_model_arg();
     let results = if sor_bench::flag("--no-store") || !model.is_default() {
         if !model.is_default() {

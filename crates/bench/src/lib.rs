@@ -137,25 +137,30 @@ pub fn fault_model_arg() -> sor_harness::FaultModel {
 /// unrecognized spelling. Every injection-driving bin spells the flag
 /// the same way; the default keeps existing outputs byte-identical.
 pub fn engine_arg() -> sor_harness::ExecEngine {
-    use sor_harness::ExecEngine;
-    match arg_value("--engine") {
-        None => ExecEngine::default(),
-        Some(v) => v.parse::<ExecEngine>().unwrap_or_else(|_| {
-            let known: Vec<&str> = ExecEngine::ALL.iter().map(|e| e.slug()).collect();
-            eprintln!(
-                "unknown --engine {v:?}; known engines: {}",
-                known.join(", ")
-            );
-            std::process::exit(2);
-        }),
-    }
+    parsed_arg("--engine").unwrap_or_default()
 }
 
 /// Parses `--runs N` with a default.
 pub fn runs_arg(default: u64) -> u64 {
-    arg_value("--runs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    parsed_arg("--runs").unwrap_or(default)
+}
+
+/// Parses the value of `--flag value` as a `T`: `None` when the flag is
+/// absent; a value that does not parse exits with status 2, naming the
+/// flag, instead of silently running with the default.
+pub fn parsed_arg<T>(name: &str) -> Option<T>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    let v = arg_value(name)?;
+    match v.parse() {
+        Ok(x) => Some(x),
+        Err(e) => {
+            eprintln!("invalid {name} {v:?}: {e}");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// Writes a results file under `results/`, creating the directory.

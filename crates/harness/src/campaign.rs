@@ -1,4 +1,4 @@
-//! SEU fault-injection campaigns (paper §7.1).
+//! Sampled fault-injection campaigns (paper §7.1).
 
 use crate::artifact::ArtifactStore;
 use crate::pool;
@@ -7,7 +7,7 @@ use sor_ir::Program;
 use sor_models::{FaultModel, SampleCtx};
 use sor_regalloc::LowerConfig;
 use sor_rng::SmallRng;
-use sor_sim::{DecodedProg, ExecEngine, FaultSpec, GenFault, MachineConfig};
+use sor_sim::{DecodedProg, ExecEngine, GenFault, MachineConfig};
 use sor_stats::OutcomeCounts;
 use sor_workloads::Workload;
 use std::sync::Arc;
@@ -34,18 +34,18 @@ pub struct CampaignConfig {
     pub engine: ExecEngine,
     /// SPMD lane width for batched injection (see
     /// [`sor_sim::LaneReplayer`]): `1` (the default) runs each fault on a
-    /// scalar machine; `2`/`4`/`8` execute that many injections in
+    /// scalar machine; `2`/`4`/`8`/`16` execute that many injections in
     /// lockstep over one decoded program, with bit-identical results.
-    /// Requires the decoded engine; silently scalar otherwise.
+    /// Lanes batch single-bit register upsets only, so they need the
+    /// decoded engine and a fault list of SEUs; silently scalar otherwise.
     pub lanes: usize,
     /// Transform configuration.
     pub transform: sor_core::TransformConfig,
     /// Fault model injections are drawn from (see [`FaultModel`]). The
-    /// default, [`FaultModel::SeuReg`], runs the exact legacy SEU pipeline
-    /// — fault sequences, histograms and artifacts are bit-identical to
-    /// configurations that predate the field. Non-default models draw
-    /// generalized faults (`draw_gen_faults`) and inject them through
-    /// the scalar generalized path (lanes fall back to scalar).
+    /// default, [`FaultModel::SeuReg`], draws the paper's SEU — fault
+    /// sequences, histograms and artifacts are bit-identical to
+    /// configurations that predate the field. Every model injects
+    /// through the same pool.
     pub fault_model: FaultModel,
 }
 
@@ -80,28 +80,10 @@ pub struct CampaignResult {
 /// Pre-draws the campaign's full fault list from the per-cell seed, so the
 /// distribution is a pure function of (config, workload, technique) —
 /// independent of thread count, and shared verbatim between plain and
-/// triaged campaigns. Each fault comes from [`FaultSpec::sample`], the
-/// sampling routine shared with the adaptive triage sampler.
-pub(crate) fn draw_faults(
-    cfg: &CampaignConfig,
-    wl_name: &str,
-    technique: Technique,
-    golden_len: u64,
-) -> Vec<FaultSpec> {
-    let mut rng = SmallRng::seed_from_u64(
-        cfg.seed ^ (wl_name.len() as u64) ^ ((technique.letter() as u64) << 32),
-    );
-    (0..cfg.runs)
-        .map(|_| FaultSpec::sample(&mut rng, golden_len))
-        .collect()
-}
-
-/// [`draw_faults`] over the generalized fault surface: the same per-cell
-/// seed derivation, with each draw delegated to the configured
-/// [`FaultModel`]'s sampler. Under the default `SeuReg` model the drawn
-/// sequence is [`draw_faults`]' sequence exactly (the sampler consumes the
-/// RNG draw-for-draw identically — pinned by the `sor-models` tests and
-/// re-pinned end-to-end below).
+/// triaged campaigns. Each draw is delegated to the configured
+/// [`FaultModel`]'s sampler; under the default `SeuReg` model that is
+/// [`sor_sim::FaultSpec::sample`], the sampling routine shared with the
+/// adaptive triage sampler (pinned draw-for-draw below).
 pub(crate) fn draw_gen_faults(
     cfg: &CampaignConfig,
     wl_name: &str,
@@ -181,25 +163,7 @@ fn inject(
 ) -> (OutcomeCounts, u64) {
     let runner = pool::build_runner(program, decoded, jit, cfg.checkpoint_interval, cfg.engine);
     let golden_len = runner.golden().dyn_instrs;
-    if !cfg.fault_model.is_default() {
-        // Generalized models: same seed derivation, model-specific draws,
-        // scalar generalized injection (commutative fold, so still
-        // thread-count independent).
-        let faults = draw_gen_faults(cfg, wl_name, technique, program, golden_len);
-        let total: OutcomeCounts = pool::inject_gen_faults(
-            &runner,
-            &faults,
-            cfg.threads,
-            |acc: &mut OutcomeCounts, _, rec, res| {
-                acc.record(
-                    rec.outcome,
-                    res.probes.vote_repairs + res.probes.trump_recovers,
-                );
-            },
-        );
-        return (total, golden_len);
-    }
-    let faults = draw_faults(cfg, wl_name, technique, golden_len);
+    let faults = draw_gen_faults(cfg, wl_name, technique, program, golden_len);
     // Work-stealing over the shared pool (see `pool::inject_faults`):
     // fault runs have wildly variable lengths, so workers steal faults (or
     // lane groups) as they finish. Summing is commutative, so `counts` is
@@ -234,65 +198,48 @@ mod tests {
         }
     }
 
-    /// The sampling-dedupe pin: [`draw_faults`] built on
-    /// [`FaultSpec::sample`] must draw the exact sequence the pre-dedupe
-    /// hand-rolled code drew (slot, then register via `choose`, then bit),
-    /// so recorded campaign results stay reproducible across the refactor.
+    /// The sampling pin: under the default model the campaign draws the
+    /// exact sequence the historical hand-rolled code drew (slot, then
+    /// register via `choose`, then bit), so recorded campaign results stay
+    /// reproducible.
     #[test]
-    fn draw_faults_sequence_is_pinned_to_the_historical_draws() {
+    fn default_model_draws_are_pinned_to_the_historical_draws() {
+        let w = AdpcmDec {
+            samples: 40,
+            seed: 1,
+        };
         let cfg = CampaignConfig {
             runs: 300,
             seed: 0x5EED,
             ..Default::default()
         };
-        let golden_len = 12_345;
-        let faults = draw_faults(&cfg, "adpcmdec", Technique::SwiftR, golden_len);
-        // The historical inline implementation, re-derived verbatim.
-        let mut rng = SmallRng::seed_from_u64(
-            cfg.seed ^ ("adpcmdec".len() as u64) ^ ((Technique::SwiftR.letter() as u64) << 32),
-        );
-        let expected: Vec<FaultSpec> = (0..cfg.runs)
-            .map(|_| {
-                let at = rng.gen_range(0, golden_len.max(1));
-                let reg = *rng.choose(&sor_sim::INJECTABLE_REGS);
-                let bit = rng.gen_range(0, 64) as u8;
-                FaultSpec::new(at, reg, bit)
-            })
-            .collect();
-        assert_eq!(faults, expected);
-    }
-
-    /// Under the default model, the generalized draw is the legacy draw,
-    /// fault for fault — the end-to-end half of the `SeuReg` pin (the
-    /// sampler-level half lives in `sor-models`).
-    #[test]
-    fn default_model_gen_draws_equal_legacy_draws() {
-        let w = AdpcmDec {
-            samples: 40,
-            seed: 1,
-        };
-        let store = ArtifactStore::new();
-        let cfg = small_cfg();
-        let artifact = store.get(
+        let artifact = ArtifactStore::new().get(
             &w,
             Technique::SwiftR,
             &cfg.transform,
             &LowerConfig::default(),
         );
-        let runner = sor_sim::Runner::new(&artifact.program, &sor_sim::MachineConfig::default());
-        let golden_len = runner.golden().dyn_instrs;
-        let legacy = draw_faults(&cfg, w.name(), Technique::SwiftR, golden_len);
-        let gen = draw_gen_faults(
+        let golden_len = 12_345;
+        let faults = draw_gen_faults(
             &cfg,
             w.name(),
             Technique::SwiftR,
             &artifact.program,
             golden_len,
         );
-        assert_eq!(gen.len(), legacy.len());
-        for (g, &l) in gen.iter().zip(&legacy) {
-            assert_eq!(*g, GenFault::from_spec(l));
-        }
+        // The historical inline implementation, re-derived verbatim.
+        let mut rng = SmallRng::seed_from_u64(
+            cfg.seed ^ ("adpcmdec".len() as u64) ^ ((Technique::SwiftR.letter() as u64) << 32),
+        );
+        let expected: Vec<GenFault> = (0..cfg.runs)
+            .map(|_| {
+                let at = rng.gen_range(0, golden_len.max(1));
+                let reg = *rng.choose(&sor_sim::INJECTABLE_REGS);
+                let bit = rng.gen_range(0, 64) as u8;
+                sor_sim::FaultSpec::new(at, reg, bit).into()
+            })
+            .collect();
+        assert_eq!(faults, expected);
     }
 
     /// Every non-default model runs a full campaign: all injections

@@ -37,10 +37,11 @@ pub struct CertifyConfig {
     /// [`MachineConfig::checkpoint_interval`]).
     pub checkpoint_interval: u64,
     /// SPMD lane width for batched injection (see
-    /// [`sor_sim::LaneReplayer`]): each read-window equivalence class is
-    /// 64 same-slot faults, which lane groups of width 2/4/8 tile
-    /// exactly. `1` (the default) runs scalar; results are bit-identical
-    /// either way.
+    /// [`sor_sim::LaneReplayer`]): each `seu-reg` read-window equivalence
+    /// class is 64 same-slot faults, which lane groups of width 2/4/8/16
+    /// tile exactly. `1` (the default) runs scalar, as do models whose
+    /// faults are not single-bit register upsets; results are
+    /// bit-identical either way.
     pub lanes: usize,
     /// Transform configuration.
     pub transform: sor_core::TransformConfig,
@@ -51,13 +52,13 @@ pub struct CertifyConfig {
     /// tests pin this); more sections = finer partial reuse, slightly
     /// more store records.
     pub sections: usize,
-    /// Fault model to certify (see [`FaultModel`]). The default,
-    /// [`FaultModel::SeuReg`], runs the legacy exhaustive pipeline
-    /// bit-identically. Non-default models certify through
-    /// [`sor_ace::GenCertPlan`] — monolithic, scalar, store-bypassing
-    /// (the sectional store format only encodes the SEU plan shape, and a
-    /// wrong reuse would be silent). [`FaultModel::MemBit`] is not
-    /// certifiable (no per-address liveness argument) and panics with
+    /// Fault model to certify (see [`FaultModel`]). Monolithic
+    /// certification plans every model through [`sor_ace::GenCertPlan`];
+    /// the sectional store path serves the default,
+    /// [`FaultModel::SeuReg`], only (its record format encodes the SEU
+    /// plan shape, and a wrong reuse would be silent), so other models
+    /// bypass the store. [`FaultModel::MemBit`] is not certifiable (no
+    /// per-address liveness argument) and panics with
     /// [`ModelPlanError::NotCertifiable`]'s message; use a sampled
     /// campaign for it.
     pub fault_model: FaultModel,
@@ -102,37 +103,20 @@ pub fn run_certified_campaign_in(
     cfg: &CertifyConfig,
 ) -> CertifiedCoverage {
     let artifact = store.get(workload, technique, &cfg.transform, &LowerConfig::default());
-    if !cfg.fault_model.is_default() {
-        return certify_program_model(
-            &artifact.program,
-            Some(Arc::clone(&artifact.decoded)),
-            artifact.jit_for(cfg.engine),
-            workload.name(),
-            &technique.to_string(),
-            cfg.fault_model,
-            cfg.threads,
-            cfg.checkpoint_interval,
-            cfg.engine,
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-    }
-    certify_program_with(
+    certify_program_model(
         &artifact.program,
         Some(Arc::clone(&artifact.decoded)),
         artifact.jit_for(cfg.engine),
         workload.name(),
         &technique.to_string(),
-        cfg.threads,
-        cfg.checkpoint_interval,
-        cfg.lanes,
-        cfg.engine,
+        cfg,
     )
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Certifies one lowered program's full fault space: records the def-use
-/// trace, builds the pruning plan, executes the surviving class
-/// representatives across a work-stealing worker pool, and assembles the
-/// exact coverage report.
+/// Certifies one lowered program's full `seu-reg` fault space with the
+/// default engine and no lanes — the reference the incremental path is
+/// pinned against.
 ///
 /// Results are independent of `threads`: workers fill a per-class result
 /// slot, and assembly walks classes in plan order.
@@ -143,124 +127,59 @@ pub fn certify_program(
     threads: usize,
     checkpoint_interval: u64,
 ) -> CertifiedCoverage {
-    certify_program_with(
-        program,
-        None,
-        None,
-        workload,
-        technique,
+    let cfg = CertifyConfig {
         threads,
         checkpoint_interval,
-        1,
-        ExecEngine::default(),
-    )
+        ..CertifyConfig::default()
+    };
+    certify_program_model(program, None, None, workload, technique, &cfg)
+        .expect("seu-reg is certifiable")
 }
 
-/// [`certify_program`] reusing already-prepared images — the predecoded
-/// program and (under [`ExecEngine::Jit`]) the compiled native image,
-/// both memoized per lowered program by the artifact store — instead of
-/// translating again.
-#[allow(clippy::too_many_arguments)]
-pub fn certify_program_with(
-    program: &Program,
-    decoded: Option<Arc<DecodedProg>>,
-    jit: Option<Arc<JitProg>>,
-    workload: &str,
-    technique: &str,
-    threads: usize,
-    checkpoint_interval: u64,
-    lanes: usize,
-    engine: ExecEngine,
-) -> CertifiedCoverage {
-    let runner = pool::build_runner(program, decoded, jit, checkpoint_interval, engine);
-    let trace = DefUseTrace::record(&runner);
-    let plan = CertPlan::build(&trace);
-    let golden_recoveries =
-        runner.golden().probes.vote_repairs + runner.golden().probes.trump_recovers;
-
-    // The plan flattens to 64 same-slot faults per read-window class; the
-    // shared pool work-steals them (scalar) or their lane groups, which
-    // tile classes exactly (64 % lane width == 0). Folding by class index
-    // keeps per-class slots exact, so the report is identical for any
-    // thread count or lane width — windows ending late in the run replay
-    // long suffixes, so classes, like sampled faults, have wildly
-    // variable costs and still want stealing.
-    let faults: Vec<FaultSpec> = plan
-        .classes
-        .iter()
-        .flat_map(|range| (0..64).map(|bit| FaultSpec::new(range.hi, range.reg, bit)))
-        .collect();
-    let mut class_results: Vec<OutcomeCounts> = pool::inject_faults(
-        &runner,
-        &faults,
-        threads,
-        lanes,
-        |acc: &mut Vec<OutcomeCounts>, i, rec, res| {
-            let class = i / 64;
-            if acc.len() <= class {
-                acc.resize(class + 1, OutcomeCounts::default());
-            }
-            acc[class].record(
-                rec.outcome,
-                res.probes.vote_repairs + res.probes.trump_recovers,
-            );
-        },
-    );
-    class_results.resize(plan.classes.len(), OutcomeCounts::default());
-
-    CertifiedCoverage::assemble(
-        workload,
-        technique,
-        program,
-        &trace,
-        &plan,
-        &class_results,
-        golden_recoveries,
-    )
-}
-
-/// Certifies one lowered program's full fault space under a non-default
-/// [`FaultModel`], exactly: records the def-use trace, builds the
-/// model-specific [`GenCertPlan`] (per-model unACE arguments — see
+/// Certifies one lowered program's full fault space under
+/// `cfg.fault_model`, exactly: records the def-use trace, builds the
+/// model's [`GenCertPlan`] (per-model unACE arguments — see
 /// `sor_ace::models` and DESIGN.md §16), executes every class effect
 /// across the work-stealing pool, and assembles the exact coverage
-/// report. `Err(ModelPlanError::NotCertifiable)` for models with no sound
-/// pruning argument ([`FaultModel::MemBit`]).
+/// report. Reuses the predecoded program and (under [`ExecEngine::Jit`])
+/// the compiled native image when given. `Err(ModelPlanError::NotCertifiable)`
+/// for models with no sound pruning argument ([`FaultModel::MemBit`]).
 ///
-/// The default model is accepted too (its plan reproduces the legacy
-/// [`CertPlan`] exactly), but [`certify_program_with`] is the pinned
-/// legacy path campaigns should take for it.
-#[allow(clippy::too_many_arguments)]
+/// Results are independent of thread count and lane width: workers fold
+/// into per-class result slots, and assembly walks classes in plan order.
 pub fn certify_program_model(
     program: &Program,
     decoded: Option<Arc<DecodedProg>>,
     jit: Option<Arc<JitProg>>,
     workload: &str,
     technique: &str,
-    model: FaultModel,
-    threads: usize,
-    checkpoint_interval: u64,
-    engine: ExecEngine,
+    cfg: &CertifyConfig,
 ) -> Result<CertifiedCoverage, ModelPlanError> {
-    let runner = pool::build_runner(program, decoded, jit, checkpoint_interval, engine);
+    let runner = pool::build_runner(program, decoded, jit, cfg.checkpoint_interval, cfg.engine);
     let trace = DefUseTrace::record(&runner);
-    let plan = GenCertPlan::build(model, program, &trace)?;
+    let plan = GenCertPlan::build(cfg.fault_model, program, &trace)?;
     let golden_recoveries =
         runner.golden().probes.vote_repairs + runner.golden().probes.trump_recovers;
 
-    // Classes carry model-specific effect lists of varying length, so the
-    // flattened fault list carries a parallel class-index map instead of
-    // the SEU path's fixed /64 stride.
+    // The plan flattens to each class's effects at its representative
+    // slot, with a parallel class-index map (classes carry model-specific
+    // effect lists). The shared pool work-steals them (scalar) or their
+    // lane groups, which tile `seu-reg` classes exactly (64 % lane width
+    // == 0). Folding by class index keeps per-class slots exact, so the
+    // report is identical for any thread count or lane width — windows
+    // ending late in the run replay long suffixes, so classes, like
+    // sampled faults, have wildly variable costs and still want stealing.
     let mut faults: Vec<GenFault> = Vec::new();
     let mut class_of: Vec<usize> = Vec::new();
     for (ci, class) in plan.classes.iter().enumerate() {
         faults.extend(class.faults());
         class_of.extend(std::iter::repeat_n(ci, class.effects.len()));
     }
-    let mut class_results: Vec<OutcomeCounts> = pool::inject_gen_faults(
+    let mut class_results: Vec<OutcomeCounts> = pool::inject_faults(
         &runner,
         &faults,
-        threads,
+        cfg.threads,
+        cfg.lanes,
         |acc: &mut Vec<OutcomeCounts>, i, rec, res| {
             let class = class_of[i];
             if acc.len() <= class {
@@ -425,18 +344,8 @@ pub fn certify_resumable(
         // store: the sectional record format encodes the SEU plan's class
         // shape only, and serving a generalized plan from it would be a
         // silent mismatch. One all-or-nothing "section", no pause grain.
-        let coverage = certify_program_model(
-            program,
-            decoded,
-            jit,
-            workload,
-            technique,
-            cfg.fault_model,
-            cfg.threads,
-            cfg.checkpoint_interval,
-            cfg.engine,
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
+        let coverage = certify_program_model(program, decoded, jit, workload, technique, cfg)
+            .unwrap_or_else(|e| panic!("{e}"));
         let progress = CertifyProgress {
             sections_done: 1,
             sections_total: 1,
@@ -503,11 +412,13 @@ pub fn certify_resumable(
             return CertifyStatus::Paused(progress);
         }
         let sec = &sections.sections[si];
-        let faults: Vec<FaultSpec> = sec
+        let faults: Vec<GenFault> = sec
             .classes
             .iter()
             .map(|&idx| plan.classes[idx])
-            .flat_map(|range| (0..64).map(move |bit| FaultSpec::new(range.hi, range.reg, bit)))
+            .flat_map(|range| {
+                (0..64).map(move |bit| FaultSpec::new(range.hi, range.reg, bit).into())
+            })
             .collect();
         progress.fresh_injections += faults.len() as u64;
         let mut fresh: Vec<OutcomeCounts> = pool::inject_faults(
@@ -705,18 +616,15 @@ mod tests {
     fn pc_corruption_certification_equals_brute_force() {
         for technique in [Technique::SwiftR, Technique::Cfcss] {
             let program = mem_program(technique);
-            let certified = certify_program_model(
-                &program,
-                None,
-                None,
-                "memsel",
-                &technique.to_string(),
-                FaultModel::PcCorrupt,
-                2,
-                3,
-                ExecEngine::default(),
-            )
-            .unwrap();
+            let cfg = CertifyConfig {
+                threads: 2,
+                checkpoint_interval: 3,
+                fault_model: FaultModel::PcCorrupt,
+                ..CertifyConfig::default()
+            };
+            let certified =
+                certify_program_model(&program, None, None, "memsel", &technique.to_string(), &cfg)
+                    .unwrap();
             let runner = Runner::new(&program, &MachineConfig::default());
             let golden_len = runner.golden().dyn_instrs;
             let pc_bits = sor_models::SampleCtx::for_program(&program, golden_len).pc_bits();
@@ -724,7 +632,7 @@ mod tests {
             let mut counts = OutcomeCounts::default();
             for at in 0..golden_len {
                 for bit in 0..pc_bits {
-                    let (o, res) = replayer.run_fault_gen(GenFault::new(
+                    let (o, res) = replayer.run_fault(GenFault::new(
                         at,
                         sor_sim::FaultEffect::PcXor { mask: 1u64 << bit },
                     ));
@@ -780,18 +688,14 @@ mod tests {
     #[test]
     fn mem_bit_certification_is_rejected_with_guidance() {
         let program = chain_program(Technique::SwiftR);
-        let err = certify_program_model(
-            &program,
-            None,
-            None,
-            "chain",
-            "SWIFT-R",
-            FaultModel::MemBit,
-            1,
-            0,
-            ExecEngine::default(),
-        )
-        .unwrap_err();
+        let cfg = CertifyConfig {
+            threads: 1,
+            checkpoint_interval: 0,
+            fault_model: FaultModel::MemBit,
+            ..CertifyConfig::default()
+        };
+        let err =
+            certify_program_model(&program, None, None, "chain", "SWIFT-R", &cfg).unwrap_err();
         assert!(err.to_string().contains("sampled campaign"), "{err}");
     }
 

@@ -59,10 +59,9 @@ mod triage;
 pub use artifact::{Artifact, ArtifactKey, ArtifactStore};
 pub use campaign::{run_campaign, run_campaign_in, CampaignConfig, CampaignResult};
 pub use certify::{
-    certify_incremental, certify_program, certify_program_model, certify_program_with,
-    certify_resumable, run_certified_campaign, run_certified_campaign_in,
-    run_certified_campaign_stored, CertifyConfig, CertifyProgress, CertifyStatus,
-    IncrementalCertification,
+    certify_incremental, certify_program, certify_program_model, certify_resumable,
+    run_certified_campaign, run_certified_campaign_in, run_certified_campaign_stored,
+    CertifyConfig, CertifyProgress, CertifyStatus, IncrementalCertification,
 };
 pub use ctrl::RunCtrl;
 pub use figures::{FigureEight, FigureNine};

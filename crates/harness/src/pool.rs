@@ -2,30 +2,29 @@
 //!
 //! Every campaign flavour — sampled ([`crate::run_campaign`]), triaged
 //! ([`crate::run_triaged_campaign`]) and certified
-//! ([`crate::run_certified_campaign`]) — used to carry its own copy of the
-//! same loop: resolve the thread count, spawn scoped workers, give each a
-//! reusable machine arena, work-steal fault indices off a shared atomic,
-//! fold per-worker results, merge commutatively. [`inject_faults`] is that
-//! loop, written once, parameterized over the accumulator and the
-//! per-record fold.
+//! ([`crate::run_certified_campaign`]), under every fault model — injects
+//! through [`inject_faults`]: resolve the thread count, spawn scoped
+//! workers, give each a reusable machine arena, work-steal fault indices
+//! off a shared atomic, fold per-worker results, merge commutatively. Its
+//! input is a list of [`sor_sim::GenFault`]s; the paper's SEU is the
+//! `RegXor { mask: 1 << bit }` case.
 //!
-//! It is also where lane batching composes with work-stealing. With
-//! `lanes > 1` the fault list is stably sorted by injection slot and cut
-//! into lane-width groups — a *group* becomes the work-stealing unit, and
-//! each worker drives a [`sor_sim::LaneReplayer`] instead of a scalar
-//! [`sor_sim::Replayer`]. Sorting maximizes the shared lockstep prefix
-//! within a group; for certified campaigns, whose flattened fault list is
-//! 64 same-slot faults per read-window equivalence class, sorted groups
-//! tile the classes exactly (64 is divisible by every supported width).
-//! Because every fold target merges commutatively and the fold receives
-//! the fault's *original* index, results are bit-identical whatever the
-//! thread count, lane width or steal order — the matrix the differential
-//! tests pin.
+//! It is also where lane batching composes with work-stealing. When lanes
+//! are requested and every fault is an SEU, the fault list is stably
+//! sorted by injection slot and cut into lane-width groups — a *group*
+//! becomes the work-stealing unit, and each worker drives a
+//! [`sor_sim::LaneReplayer`] instead of a scalar [`sor_sim::Replayer`].
+//! Sorting maximizes the shared lockstep prefix within a group; for
+//! certified campaigns, whose flattened fault list is 64 same-slot faults
+//! per read-window equivalence class, sorted groups tile the classes
+//! exactly (64 is divisible by every supported width). Because every fold
+//! target merges commutatively and the fold receives the fault's
+//! *original* index, results are bit-identical whatever the thread count,
+//! lane width or steal order — the matrix the differential tests pin.
 
 use sor_ir::Program;
 use sor_sim::{
-    DecodedProg, ExecEngine, FaultRecord, FaultSpec, GenFault, GenFaultRecord, MachineConfig,
-    RunResult, Runner,
+    DecodedProg, ExecEngine, FaultSpec, GenFault, GenFaultRecord, MachineConfig, RunResult, Runner,
 };
 use sor_stats::OutcomeCounts;
 use sor_triage::VulnerabilityProfile;
@@ -116,125 +115,83 @@ impl Accumulate for Vec<OutcomeCounts> {
 ///
 /// `fold` is called once per fault with the fault's index in `faults`
 /// (original order — lane batching reorders execution, not attribution),
-/// its [`FaultRecord`] and the raw [`RunResult`].
+/// its [`GenFaultRecord`] and the raw [`RunResult`].
+///
+/// The SPMD lane engine vectorizes the single-bit register SEU only, so
+/// the list runs in lane groups when `lanes` resolves above 1 *and* every
+/// fault is an SEU ([`GenFault::as_spec`]); otherwise it runs scalar.
+/// Results are bit-identical either way — the choice is an execution
+/// strategy read off the input, not a semantic one.
 pub(crate) fn inject_faults<A, F>(
     runner: &Runner<'_>,
-    faults: &[FaultSpec],
+    faults: &[GenFault],
     threads: usize,
     lanes: usize,
     fold: F,
 ) -> A
 where
     A: Accumulate,
-    F: Fn(&mut A, usize, &FaultRecord, &RunResult) + Sync,
+    F: Fn(&mut A, usize, &GenFaultRecord, &RunResult) + Sync,
 {
-    let threads = resolve_threads(threads);
     let lanes = resolve_lanes(runner, lanes);
-    let fold = &fold;
-    let mut total = A::default();
-
-    if lanes > 1 {
-        // Sort (stably) by injection slot so each lane group shares the
-        // longest possible pre-fault lockstep prefix, then steal whole
-        // groups: one group = one lockstep pack run.
-        let mut order: Vec<usize> = (0..faults.len()).collect();
+    let specs: Option<Vec<FaultSpec>> = if lanes > 1 {
+        faults.iter().map(GenFault::as_spec).collect()
+    } else {
+        None
+    };
+    let width = if specs.is_some() { lanes } else { 1 };
+    // The work-stealing unit is one fault, or one lane group cut from the
+    // list stably sorted by injection slot so each group shares the
+    // longest possible pre-fault lockstep prefix.
+    let mut order: Vec<usize> = (0..faults.len()).collect();
+    if width > 1 {
         order.sort_by_key(|&i| faults[i].at_instr);
-        let groups: Vec<&[usize]> = order.chunks(lanes).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for _ in 0..threads.max(1).min(groups.len().max(1)) {
-                let (groups, next) = (&groups, &next);
-                handles.push(scope.spawn(move || {
-                    // One lane pack (plus its eviction machines) per
-                    // worker, reused across every stolen group.
-                    let mut replayer = runner.lane_replayer(lanes);
-                    let mut group = Vec::with_capacity(lanes);
+    }
+    let next = AtomicUsize::new(0);
+    let (fold, specs, order, next) = (&fold, &specs, &order, &next);
+    let units = order.len().div_ceil(width);
+    let workers = resolve_threads(threads).max(1).min(units.max(1));
+    let mut total = A::default();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(move || {
+                    // One reusable machine arena (or lane pack plus its
+                    // eviction machines) per worker: registers, frame
+                    // stack and memory are recycled across runs.
                     let mut acc = A::default();
-                    loop {
-                        let g = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(idxs) = groups.get(g) else { break };
-                        group.clear();
-                        group.extend(idxs.iter().map(|&i| faults[i]));
-                        let results = replayer.run_fault_group_records(&group);
-                        for (k, (rec, res)) in results.iter().enumerate() {
-                            fold(&mut acc, idxs[k], rec, res);
+                    let steal = || {
+                        order
+                            .chunks(width)
+                            .nth(next.fetch_add(1, Ordering::Relaxed))
+                    };
+                    match specs {
+                        None => {
+                            let mut replayer = runner.replayer();
+                            while let Some(idxs) = steal() {
+                                for &i in idxs {
+                                    let (rec, res) = replayer.run_fault_record_gen(faults[i]);
+                                    fold(&mut acc, i, &rec, &res);
+                                }
+                            }
+                        }
+                        Some(specs) => {
+                            let mut replayer = runner.lane_replayer(width);
+                            let mut group = Vec::with_capacity(width);
+                            while let Some(idxs) = steal() {
+                                group.clear();
+                                group.extend(idxs.iter().map(|&i| specs[i]));
+                                let results = replayer.run_fault_group_records(&group);
+                                for (&i, (rec, res)) in idxs.iter().zip(&results) {
+                                    fold(&mut acc, i, rec, res);
+                                }
+                            }
                         }
                     }
                     acc
-                }));
-            }
-            for h in handles {
-                total.absorb(h.join().expect("injection worker panicked"));
-            }
-        });
-    } else {
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for _ in 0..threads.max(1).min(faults.len().max(1)) {
-                let next = &next;
-                handles.push(scope.spawn(move || {
-                    // One reusable machine arena per worker: registers,
-                    // frame stack and memory are recycled across runs.
-                    let mut replayer = runner.replayer();
-                    let mut acc = A::default();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&fault) = faults.get(i) else { break };
-                        let (rec, res) = replayer.run_fault_record(fault);
-                        fold(&mut acc, i, &rec, &res);
-                    }
-                    acc
-                }));
-            }
-            for h in handles {
-                total.absorb(h.join().expect("injection worker panicked"));
-            }
-        });
-    }
-    total
-}
-
-/// [`inject_faults`] over the generalized fault surface: runs every
-/// [`GenFault`] across the same work-stealing worker pool and folds the
-/// provenance-annotated [`GenFaultRecord`]s.
-///
-/// Always executes scalar — the SPMD lane engine only vectorizes the
-/// single-register-bit SEU effect, so non-default fault models take the
-/// scalar fallback regardless of the configured lane width (results are
-/// bit-identical to what a lane path would produce by contract, so the
-/// fallback is an execution-strategy choice, not a semantic one).
-pub(crate) fn inject_gen_faults<A, F>(
-    runner: &Runner<'_>,
-    faults: &[GenFault],
-    threads: usize,
-    fold: F,
-) -> A
-where
-    A: Accumulate,
-    F: Fn(&mut A, usize, &GenFaultRecord, &RunResult) + Sync,
-{
-    let threads = resolve_threads(threads);
-    let fold = &fold;
-    let mut total = A::default();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..threads.max(1).min(faults.len().max(1)) {
-            let next = &next;
-            handles.push(scope.spawn(move || {
-                let mut replayer = runner.replayer();
-                let mut acc = A::default();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&fault) = faults.get(i) else { break };
-                    let (rec, res) = replayer.run_fault_record_gen(fault);
-                    fold(&mut acc, i, &rec, &res);
-                }
-                acc
-            }));
-        }
+                })
+            })
+            .collect();
         for h in handles {
             total.absorb(h.join().expect("injection worker panicked"));
         }

@@ -622,11 +622,11 @@ mod tests {
     }
 
     fn profile() -> VulnerabilityProfile {
-        use sor_sim::{FaultRecord, Outcome};
+        use sor_sim::{GenFaultRecord, Outcome};
         let mut p = VulnerabilityProfile::new();
         p.record(
-            &FaultRecord {
-                spec: FaultSpec::new(3, 2, 5),
+            &GenFaultRecord {
+                fault: FaultSpec::new(3, 2, 5).into(),
                 outcome: Outcome::Sdc,
                 static_inst: Some(17),
                 role: ProtectionRole::Voter,
@@ -634,8 +634,8 @@ mod tests {
             2,
         );
         p.record(
-            &FaultRecord {
-                spec: FaultSpec::new(9, 4, 1),
+            &GenFaultRecord {
+                fault: FaultSpec::new(9, 4, 1).into(),
                 outcome: Outcome::UnAce,
                 static_inst: None,
                 role: ProtectionRole::Original,
@@ -819,5 +819,42 @@ mod tests {
         assert_ne!(a, triage_section_key(p, 0, 10, &other));
         assert_ne!(a, triage_section_key(p, 0, 11, &faults));
         assert_ne!(a, triage_section_key(ContentHash(43), 0, 10, &faults));
+    }
+    /// A store written by an older build keeps hitting only while section
+    /// keys stay put: pin the literal triage and certification keys of a
+    /// fixed tiny program.
+    #[test]
+    fn section_key_digests_are_pinned() {
+        use sor_ir::{Digest, ModuleBuilder, Operand, Width};
+        let mut mb = ModuleBuilder::new("pin");
+        let mut f = mb.function("main");
+        let a = f.movi(11);
+        let b = f.mul(Width::W64, a, 3i64);
+        let c = f.add(Width::W64, b, a);
+        f.emit(Operand::reg(c));
+        f.ret(&[]);
+        let id = f.finish();
+        let program = sor_regalloc::lower(&mb.finish(id), &Default::default()).unwrap();
+        let digest = program.content_digest();
+        let key = |slice| SectionKey {
+            program: ContentHash(0x8417_ab39_6990_1b12),
+            slice: ContentHash(slice),
+            config: ContentHash(0xbf14_a7b6_1ebc_731a),
+        };
+        assert_eq!(digest, key(0).program);
+        let faults = [FaultSpec::new(0, 2, 3), FaultSpec::new(1, 5, 63)];
+        assert_eq!(
+            triage_section_key(digest, 0, 2, &faults),
+            key(0xa002_4e65_5a6d_f607)
+        );
+        let runner = sor_sim::Runner::new(&program, &sor_sim::MachineConfig::default());
+        let trace = sor_ace::DefUseTrace::record(&runner);
+        let plan = sor_ace::CertPlan::build(&trace);
+        let sections = sor_ace::CertSections::partition(&program, &trace, &plan, 2);
+        let cert: Vec<SectionKey> = sections.sections.iter().map(|s| s.key).collect();
+        assert_eq!(
+            cert,
+            [key(0x3d8c_a148_f492_dcf3), key(0x7e48_e66f_c90f_ada8)]
+        );
     }
 }

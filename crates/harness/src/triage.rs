@@ -3,20 +3,20 @@
 //! A triaged campaign runs the exact same pre-drawn fault list as
 //! [`run_campaign`](crate::run_campaign) — same seed derivation, same
 //! work-stealing workers — but each worker records provenance-annotated
-//! [`sor_sim::FaultRecord`]s into a local [`VulnerabilityProfile`], and the
+//! [`sor_sim::GenFaultRecord`]s into a local [`VulnerabilityProfile`], and the
 //! per-worker profiles are merged (commutatively, so results are
 //! thread-count independent) into the campaign profile. The aggregate
 //! outcome counts of the profile are identical to the plain campaign's.
 
 use crate::artifact::ArtifactStore;
-use crate::campaign::{draw_faults, draw_gen_faults, CampaignConfig, CampaignResult};
+use crate::campaign::{draw_gen_faults, CampaignConfig, CampaignResult};
 use crate::ctrl::RunCtrl;
 use crate::pool;
 use crate::store::{triage_section_key, ResultStore};
 use sor_core::Technique;
 use sor_ir::{Digest, Program, ProtectionRole};
 use sor_regalloc::LowerConfig;
-use sor_sim::DecodedProg;
+use sor_sim::{DecodedProg, FaultSpec, GenFault};
 use sor_stats::OutcomeCounts;
 use sor_triage::{SectionalTriage, VulnerabilityProfile};
 use sor_workloads::Workload;
@@ -183,7 +183,19 @@ pub fn run_triaged_campaign_resumable(
         cfg.engine,
     );
     let golden_instrs = runner.golden().dyn_instrs;
-    let faults = draw_faults(cfg, workload.name(), technique, golden_instrs);
+    let faults: Vec<FaultSpec> = draw_gen_faults(
+        cfg,
+        workload.name(),
+        technique,
+        &artifact.program,
+        golden_instrs,
+    )
+    .iter()
+    .map(|f| {
+        f.as_spec()
+            .expect("seu-reg draws single-bit register upsets")
+    })
+    .collect();
     let triage = SectionalTriage::partition(&faults, nsections);
     let program_digest = artifact.program.content_digest();
 
@@ -200,9 +212,10 @@ pub fn run_triaged_campaign_resumable(
             return TriageStatus::Paused(progress);
         }
         let section_profile = cached.unwrap_or_else(|| {
+            let faults: Vec<GenFault> = section.faults.iter().map(|&f| f.into()).collect();
             let fresh: VulnerabilityProfile = pool::inject_faults(
                 &runner,
-                &section.faults,
+                &faults,
                 cfg.threads,
                 cfg.lanes,
                 |acc: &mut VulnerabilityProfile, _, rec, res| {
@@ -241,22 +254,7 @@ fn inject_profiled(
 ) -> (VulnerabilityProfile, u64) {
     let runner = pool::build_runner(program, decoded, jit, cfg.checkpoint_interval, cfg.engine);
     let golden_len = runner.golden().dyn_instrs;
-    if !cfg.fault_model.is_default() {
-        // Generalized models: model-specific draws, scalar generalized
-        // injection, register attribution only where an effect has a
-        // victim register (see `VulnerabilityProfile::record_gen`).
-        let faults = draw_gen_faults(cfg, wl_name, technique, program, golden_len);
-        let whole: VulnerabilityProfile = pool::inject_gen_faults(
-            &runner,
-            &faults,
-            cfg.threads,
-            |acc: &mut VulnerabilityProfile, _, rec, res| {
-                acc.record_gen(rec, res.probes.vote_repairs + res.probes.trump_recovers);
-            },
-        );
-        return (whole, golden_len);
-    }
-    let faults = draw_faults(cfg, wl_name, technique, golden_len);
+    let faults = draw_gen_faults(cfg, wl_name, technique, program, golden_len);
     // Same shared worker pool as the plain campaign; profile merge is
     // commutative and associative, so the merged profile is independent of
     // thread count, lane width and interleaving.
@@ -384,7 +382,16 @@ mod tests {
                     &LowerConfig::default(),
                 );
                 let runner = Runner::new(&artifact.program, &MachineConfig::default());
-                let faults = draw_faults(&cfg, w.name(), technique, runner.golden().dyn_instrs);
+                let faults: Vec<FaultSpec> = draw_gen_faults(
+                    &cfg,
+                    w.name(),
+                    technique,
+                    &artifact.program,
+                    runner.golden().dyn_instrs,
+                )
+                .iter()
+                .map(|f| f.as_spec().unwrap())
+                .collect();
 
                 let monolithic = SectionalTriage::run(&runner, &faults, 1).compose();
                 let mut sectional = SectionalTriage::run(&runner, &faults, 4);

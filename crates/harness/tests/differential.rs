@@ -8,11 +8,11 @@
 //!   [`Checkpoint::fingerprint`], which digests every architectural field),
 //! * the def-use trace event stream (slots, check pcs, read/write masks),
 //! * seeded fault injections, as full provenance-annotated
-//!   [`FaultRecord`]s plus raw results — including `fault_pc`,
+//!   [`GenFaultRecord`]s plus raw results — including `fault_pc`,
 //! * whole campaign histograms under identical seeds.
 //!
 //! The lanes column extends the matrix along a third axis: lane-batched
-//! SPMD execution ([`sor_sim::LaneReplayer`]) at widths 2/4/8 must be
+//! SPMD execution ([`sor_sim::LaneReplayer`]) at widths 2/4/8/16 must be
 //! bit-identical to scalar decoded replay — per-fault records, sampled
 //! and triaged campaign histograms, and certified-coverage reports alike.
 //!

@@ -5,7 +5,7 @@
 //! uniformly sampled `FaultSpec`s — slots deliberately drawn past the end
 //! of the run as well as inside it — executed at every lane width over
 //! several checkpoint intervals, each compared bit-for-bit against the
-//! scalar decoded replayer (full `FaultRecord` plus raw `RunResult`, which
+//! scalar decoded replayer (full `GenFaultRecord` plus raw `RunResult`, which
 //! subsumes outcome histograms). Two engineered edge shapes ride along in
 //! every cell:
 //!

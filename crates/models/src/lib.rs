@@ -23,9 +23,10 @@
 //!
 //! `SeuReg` is the default everywhere and is **pinned bit-identical** to
 //! the historical pipeline: it delegates to [`FaultSpec::sample`] for its
-//! draws (consuming the RNG identically) and injects through
-//! [`GenFault::from_spec`], so campaign fault sequences, histograms and
-//! certified coverage under the default model are unchanged artifacts.
+//! draws (consuming the RNG identically) and injects the drawn spec as its
+//! `RegXor { mask: 1 << bit }` [`GenFault`], so campaign fault sequences,
+//! histograms and certified coverage under the default model are
+//! unchanged artifacts.
 
 use sor_ir::{layout, Program};
 use sor_rng::SmallRng;
@@ -166,7 +167,7 @@ impl FaultModel {
     /// historical fault sequences exactly.
     pub fn sample(self, rng: &mut SmallRng, ctx: &SampleCtx) -> GenFault {
         match self {
-            FaultModel::SeuReg => GenFault::from_spec(FaultSpec::sample(rng, ctx.golden_len)),
+            FaultModel::SeuReg => FaultSpec::sample(rng, ctx.golden_len).into(),
             FaultModel::PcCorrupt => {
                 let at = rng.gen_range(0, ctx.golden_len.max(1));
                 let bit = rng.gen_range(0, ctx.pc_bits() as u64);
@@ -227,7 +228,7 @@ mod tests {
         for _ in 0..2000 {
             let gen = FaultModel::SeuReg.sample(&mut a, &c);
             let spec = FaultSpec::sample(&mut b, c.golden_len);
-            assert_eq!(gen, GenFault::from_spec(spec));
+            assert_eq!(gen, GenFault::from(spec));
             assert_eq!(gen.as_spec(), Some(spec));
         }
         // And the generators are in the same state afterwards.

@@ -73,7 +73,7 @@ pub fn run_job(state: &ServerState, id: u64) {
         Ok(Ok(Outcome::Done { name, bytes })) => {
             let path = {
                 let reg = state.registry.lock().unwrap();
-                reg.dir().join(name)
+                reg.artifact_path(id, name)
             };
             Some(std::fs::write(&path, bytes).map(|()| name.clone()))
         }

@@ -261,7 +261,9 @@ pub struct Job {
     pub progress: Progress,
     /// Failure message, for `failed` jobs.
     pub error: Option<String>,
-    /// Result artifact filename under the server dir, for `done` jobs.
+    /// Result artifact filename (what `sor-client` names its local copy;
+    /// the server stores it at [`Registry::artifact_path`]), for `done`
+    /// jobs.
     pub artifact: Option<String>,
     /// Campaign cells completed so far (the campaign kind's resume
     /// grain; certify/triage resume through the `ResultStore` instead).
@@ -461,9 +463,11 @@ impl Registry {
         self.dir.join("jobs.json")
     }
 
-    /// The directory result artifacts are written under.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    /// Where job `id` stores its finished artifact `name`: one file per
+    /// job, so two jobs whose artifacts share a name (same kind, technique
+    /// and fault model) never serve each other's bytes.
+    pub fn artifact_path(&self, id: u64, name: &str) -> PathBuf {
+        self.dir.join(format!("job-{id}-{name}"))
     }
 
     /// Registers a new queued job and persists. Returns its id.

@@ -371,7 +371,7 @@ fn job_result(state: &Arc<ServerState>, stream: &mut TcpStream, id: u64) {
             (job.state == JobState::Done)
                 .then(|| job.artifact.clone())
                 .flatten()
-                .map(|name| reg.dir().join(name))
+                .map(|name| reg.artifact_path(id, &name))
                 .ok_or(job.state)
         })
     };

@@ -42,7 +42,7 @@ fn spawn(dir: &Path) -> (sor_server::ServerHandle, Client) {
 }
 
 /// What the `certify` batch bin writes for these parameters.
-fn certify_oracle(samples: u64, sections: usize, technique: Technique) -> String {
+fn certify_oracle(samples: u64, wseed: u64, sections: usize, technique: Technique) -> String {
     let cfg = CertifyConfig {
         threads: 2,
         sections,
@@ -50,7 +50,10 @@ fn certify_oracle(samples: u64, sections: usize, technique: Technique) -> String
     };
     let r = run_certified_campaign_in(
         &ArtifactStore::new(),
-        &AdpcmDec { samples, seed: 1 },
+        &AdpcmDec {
+            samples,
+            seed: wseed,
+        },
         technique,
         &cfg,
     );
@@ -84,7 +87,38 @@ fn certify_job_bytes_match_the_batch_bin() {
     );
 
     let bytes = client.result_bytes(id).expect("result");
-    assert_eq!(bytes, certify_oracle(6, 4, Technique::SwiftR));
+    assert_eq!(bytes, certify_oracle(6, 1, 4, Technique::SwiftR));
+
+    handle.shutdown();
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two finished jobs whose artifacts share a name (same kind and
+/// technique, different workload seed) each keep serving their own bytes.
+#[test]
+fn same_named_artifacts_stay_per_job() {
+    let dir = temp_dir("per-job");
+    let (handle, client) = spawn(&dir);
+
+    let mut jobs = Vec::new();
+    for wseed in [1, 2] {
+        let id = client
+            .submit(&format!(
+                r#"{{"kind": "certify", "technique": "swift", "samples": 4, "wseed": {wseed}, "sections": 2, "threads": 2}}"#
+            ))
+            .expect("submit");
+        let job = client.wait(id, &["done"]).expect("wait");
+        assert_eq!(
+            job.get("artifact").and_then(Json::as_str),
+            Some("certified_swift.json")
+        );
+        jobs.push((id, certify_oracle(4, wseed, 2, Technique::Swift)));
+    }
+    assert_ne!(jobs[0].1, jobs[1].1, "the two workloads must differ");
+    for (id, oracle) in &jobs {
+        assert_eq!(&client.result_bytes(*id).expect("result"), oracle);
+    }
 
     handle.shutdown();
     handle.join();
@@ -121,7 +155,11 @@ fn pc_corrupt_certify_job_matches_the_harness_oracle() {
         samples: 4,
         seed: 1,
     };
-    let cfg = CertifyConfig::default();
+    let cfg = CertifyConfig {
+        threads: 2,
+        fault_model: FaultModel::PcCorrupt,
+        ..CertifyConfig::default()
+    };
     let store = ArtifactStore::new();
     let artifact = store.get(
         &workload,
@@ -135,10 +173,7 @@ fn pc_corrupt_certify_job_matches_the_harness_oracle() {
         None,
         "adpcmdec",
         "SWIFT-R",
-        FaultModel::PcCorrupt,
-        2,
-        cfg.checkpoint_interval,
-        sor_harness::ExecEngine::default(),
+        &cfg,
     )
     .expect("pc-corrupt plan");
     let oracle = certified_json_model(&coverage, FaultModel::PcCorrupt);
@@ -192,7 +227,7 @@ fn paused_then_resumed_certify_reexecutes_only_the_remainder() {
     let bytes = client.result_bytes(id).expect("result");
     assert_eq!(
         bytes,
-        certify_oracle(6, 6, Technique::Trump),
+        certify_oracle(6, 1, 6, Technique::Trump),
         "pause/resume must not change a single byte"
     );
 
@@ -240,7 +275,7 @@ fn graceful_shutdown_drains_to_a_boundary_and_a_restart_resumes() {
         );
     }
     let bytes = client.result_bytes(id).expect("result");
-    assert_eq!(bytes, certify_oracle(6, 6, Technique::Mask));
+    assert_eq!(bytes, certify_oracle(6, 1, 6, Technique::Mask));
 
     handle.shutdown();
     handle.join();
@@ -300,7 +335,7 @@ fn killed_server_restarts_with_the_job_paused_and_finishes_identically() {
     let bytes = client.result_bytes(id).expect("result");
     assert_eq!(
         bytes,
-        certify_oracle(6, 6, Technique::Noft),
+        certify_oracle(6, 1, 6, Technique::Noft),
         "a kill -9 must not change a single byte of the result"
     );
 

@@ -28,7 +28,7 @@
 //! effectively splits at any slot an observer is due.
 
 use crate::decode::{DArg, DLoc, DecodedProg, Ext, Src, UOp};
-use crate::fault::{FaultEffect, FaultSpec, GenFault};
+use crate::fault::{FaultEffect, GenFault};
 use crate::machine::{Frame, Machine, ProbeCounts, RunResult, RunStatus, Val, MAX_FRAMES, SP_IDX};
 use crate::trace::TraceSink;
 use crate::Checkpoint;
@@ -44,46 +44,9 @@ enum SpanExit {
 }
 
 impl Machine<'_> {
-    /// Decoded-engine counterpart of the [`Machine::run_mut`] loop.
-    pub(crate) fn run_mut_decoded(
-        &mut self,
-        d: &DecodedProg,
-        fault: Option<FaultSpec>,
-    ) -> RunResult {
-        let jit = self.jit.clone();
-        let status = loop {
-            if self.dyn_count >= self.fuel {
-                break RunStatus::OutOfFuel;
-            }
-            let mut budget = self.fuel - self.dyn_count;
-            if let Some(f) = fault {
-                if !self.injected {
-                    if self.dyn_count == f.at_instr {
-                        self.iregs[f.reg as usize] ^= 1u64 << f.bit;
-                        self.injected = true;
-                        self.fault_pc = Some(self.pc);
-                    } else if f.at_instr > self.dyn_count {
-                        budget = budget.min(f.at_instr - self.dyn_count);
-                    }
-                }
-            }
-            match self.exec_span(d, jit.as_deref(), budget) {
-                SpanExit::Budget => continue,
-                SpanExit::Done(s) => break s,
-            }
-        };
-        self.take_result(status)
-    }
-
-    /// Decoded-engine counterpart of [`Machine::run_mut_gen`], pinned
-    /// bit-identical to it for every [`FaultEffect`] (and, for
-    /// `RegXor { mask: 1 << bit }`, to the legacy [`FaultSpec`] path on
-    /// both engines).
-    pub(crate) fn run_mut_gen_decoded(
-        &mut self,
-        d: &DecodedProg,
-        fault: Option<GenFault>,
-    ) -> RunResult {
+    /// Decoded-engine counterpart of the [`Machine::run_mut`] loop,
+    /// pinned bit-identical to it for every [`FaultEffect`].
+    pub(crate) fn run_decoded(&mut self, d: &DecodedProg, fault: Option<GenFault>) -> RunResult {
         let jit = self.jit.clone();
         let status = loop {
             if self.dyn_count >= self.fuel {
@@ -138,7 +101,7 @@ impl Machine<'_> {
     /// any preceding free probes), then XORs `mask` — truncated to the
     /// operation width — into the destination if that instruction was an
     /// ALU op that committed. Returns the terminal status if the program
-    /// ended at this slot. Mirrors the legacy `run_mut_gen` AluXor arm.
+    /// ended at this slot. Mirrors the legacy `run_mut` AluXor arm.
     fn exec_alu_slot(&mut self, d: &DecodedProg, mask: u64) -> Option<RunStatus> {
         while let UOp::Probe(e) = &d.uops[self.pc] {
             bump_probe(&mut self.probes, *e);

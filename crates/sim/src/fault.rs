@@ -1,4 +1,5 @@
-//! The single-event-upset fault specification.
+//! Fault specifications: the paper's single-event upset ([`FaultSpec`])
+//! and the generalized [`GenFault`] every engine executes.
 
 use sor_ir::{NUM_IREGS, SP};
 use sor_rng::SmallRng;
@@ -91,10 +92,9 @@ impl fmt::Display for FaultSpec {
 /// The architectural effect of one transient fault, generalizing the
 /// register-SEU of [`FaultSpec`] to the fault models of `sor-models`.
 ///
-/// Every effect is applied exactly once, at one dynamic instruction slot,
-/// and is defined so that `RegXor { reg, mask: 1 << bit }` is *bit-identical*
-/// to the legacy [`FaultSpec`] injection path — same injection point, same
-/// architectural state transition, same `fault_pc` attribution.
+/// Every effect is applied exactly once, at one dynamic instruction slot;
+/// `RegXor { reg, mask: 1 << bit }` *is* the paper's SEU (see
+/// [`GenFault::from`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultEffect {
     /// XOR `mask` into integer register `reg` immediately before the slot
@@ -158,8 +158,8 @@ impl FaultEffect {
 }
 
 /// One transient fault under a generalized model: apply `effect` at
-/// dynamic instruction `at_instr`. `GenFault::from_spec` embeds the legacy
-/// SEU model exactly.
+/// dynamic instruction `at_instr` — the only fault type the engines
+/// execute. An SEU [`FaultSpec`] converts into one losslessly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GenFault {
     /// Dynamic instruction index (0-based) at which the effect applies.
@@ -190,19 +190,8 @@ impl GenFault {
         GenFault { at_instr, effect }
     }
 
-    /// The generalized form of a legacy SEU spec (bit-identical injection).
-    pub fn from_spec(spec: FaultSpec) -> Self {
-        GenFault {
-            at_instr: spec.at_instr,
-            effect: FaultEffect::RegXor {
-                reg: spec.reg,
-                mask: 1u64 << spec.bit,
-            },
-        }
-    }
-
-    /// The legacy spec this fault corresponds to, if it is a single-bit
-    /// register SEU.
+    /// The SEU spec this fault corresponds to, if it is a single-bit
+    /// register upset.
     pub fn as_spec(&self) -> Option<FaultSpec> {
         match self.effect {
             FaultEffect::RegXor { reg, mask } if mask.count_ones() == 1 => Some(FaultSpec::new(
@@ -211,6 +200,20 @@ impl GenFault {
                 mask.trailing_zeros() as u8,
             )),
             _ => None,
+        }
+    }
+}
+
+/// The SEU as a generalized fault: `RegXor { reg, mask: 1 << bit }` at the
+/// same slot. [`GenFault::as_spec`] inverts it.
+impl From<FaultSpec> for GenFault {
+    fn from(spec: FaultSpec) -> Self {
+        GenFault {
+            at_instr: spec.at_instr,
+            effect: FaultEffect::RegXor {
+                reg: spec.reg,
+                mask: 1u64 << spec.bit,
+            },
         }
     }
 }
@@ -283,7 +286,7 @@ mod tests {
     #[test]
     fn gen_fault_round_trips_the_legacy_spec() {
         let spec = FaultSpec::new(17, 5, 63);
-        let gen = GenFault::from_spec(spec);
+        let gen = GenFault::from(spec);
         assert_eq!(gen.at_instr, 17);
         assert_eq!(
             gen.effect,
@@ -293,7 +296,7 @@ mod tests {
             }
         );
         assert_eq!(gen.as_spec(), Some(spec));
-        // Multi-bit masks are not legacy specs.
+        // Multi-bit masks are not SEU specs.
         let multi = GenFault::new(0, FaultEffect::RegXor { reg: 5, mask: 0b11 });
         assert_eq!(multi.as_spec(), None);
         assert_eq!(

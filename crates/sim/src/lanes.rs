@@ -85,10 +85,10 @@
 use crate::alu::{alu_lanes, cmp_lanes, fpu_lanes};
 use crate::decode::{DArg, DLoc, DecodedProg, Ext, Src, UOp};
 use crate::exec::bump_probe;
-use crate::fault::FaultSpec;
+use crate::fault::{FaultSpec, GenFault};
 use crate::machine::{Frame, Machine, ProbeCounts, RunResult, Val, MAX_FRAMES, SP_IDX};
 use crate::outcome::{classify, Outcome};
-use crate::runner::{FaultRecord, Runner};
+use crate::runner::{GenFaultRecord, Runner};
 use sor_ir::{layout, AluOp, CmpOp, ExtFunc, FpOp, PLoc, Width, NUM_FREGS, NUM_IREGS};
 use std::sync::Arc;
 
@@ -1626,7 +1626,7 @@ impl<'p, const L: usize> Pack<'p, L> {
         m.probes.trump_recovers += self.extra_probes[l].trump_recovers;
         m.injected = self.injected & (1 << l) != 0;
         m.fault_pc = self.fault_pc[l];
-        let result = m.run_mut(Some(self.faults[l]));
+        let result = m.run_mut(Some(GenFault::from(self.faults[l])));
         self.results[l] = Some((classify(&runner.golden, &result), result));
     }
 }
@@ -1708,27 +1708,17 @@ impl<'r, 'p> LaneReplayer<'r, 'p> {
     }
 
     /// Like [`LaneReplayer::run_fault_group`], but returns
-    /// provenance-annotated [`FaultRecord`]s (lane counterpart of
+    /// provenance-annotated [`GenFaultRecord`]s (lane counterpart of
     /// [`crate::Replayer::run_fault_record`]).
     pub fn run_fault_group_records(
         &mut self,
         faults: &[FaultSpec],
-    ) -> Vec<(FaultRecord, RunResult)> {
+    ) -> Vec<(GenFaultRecord, RunResult)> {
         self.run_fault_group(faults)
             .into_iter()
             .zip(faults)
             .map(|((outcome, result), &spec)| {
-                let role = result
-                    .fault_pc
-                    .map(|pc| self.runner.prog.role_of(pc))
-                    .unwrap_or_default();
-                let record = FaultRecord {
-                    spec,
-                    outcome,
-                    static_inst: result.fault_pc,
-                    role,
-                };
-                (record, result)
+                (self.runner.record(spec.into(), outcome, &result), result)
             })
             .collect()
     }

@@ -1,21 +1,23 @@
 //! # sor-sim — the architectural simulator
 //!
-//! Executes [`sor_ir::Program`] images and injects single-event-upset (SEU)
-//! faults, replacing the paper's PPC970 hardware and binary-instrumentation
+//! Executes [`sor_ir::Program`] images and injects transient faults,
+//! replacing the paper's PPC970 hardware and binary-instrumentation
 //! injector.
 //!
 //! * [`Machine`] — functional execution over 32 integer + 32 float physical
 //!   registers and a segmented memory (null guard / globals / stack /
 //!   memory-mapped output). Any access outside a mapped segment terminates
 //!   the run as a SEGV, division by zero and stack overflow likewise.
-//! * [`FaultSpec`] — one bit-flip in one integer register before one dynamic
-//!   instruction, the paper's §7.1 fault model. The stack pointer is never
-//!   targeted (the paper excluded SP and TOC).
-//! * [`GenFault`] / [`FaultEffect`] — the generalized fault surface behind
-//!   the `sor-models` fault-model subsystem: register XOR bursts, PC
-//!   corruption, data-memory bit flips and transient-ALU (SET) result
-//!   corruption, each pinned bit-identical across both execution engines
-//!   and exactly equal to the legacy path for single-bit register upsets.
+//! * [`GenFault`] / [`FaultEffect`] — the one fault type every engine
+//!   executes, through one injection loop per engine: register XOR
+//!   masks, PC corruption, data-memory bit flips and transient-ALU (SET)
+//!   result corruption, each pinned bit-identical across the engines.
+//!   Replay results carry their provenance as a [`GenFaultRecord`].
+//! * [`FaultSpec`] — the paper's §7.1 fault model as a value: one bit of
+//!   one integer register before one dynamic instruction (never the stack
+//!   pointer — the paper excluded SP and TOC). It converts losslessly into
+//!   the `RegXor { mask: 1 << bit }` [`GenFault`] it injects as, and is
+//!   what the SEU sampler draws and SPMD lane groups carry.
 //! * [`DecodedProg`] / [`ExecEngine`] — the predecoded micro-op engine:
 //!   programs are translated once into fully-resolved micro-ops grouped
 //!   into straight-line superblocks, and the hot loop becomes a dense
@@ -78,6 +80,6 @@ pub use lanes::LaneReplayer;
 pub use machine::{ExecEngine, Machine, MachineConfig, ProbeCounts, RunResult, RunStatus};
 pub use mem::{MemError, Memory, PageSnapshot, PAGE_SIZE};
 pub use outcome::{classify, Outcome};
-pub use runner::{FaultRecord, GenFaultRecord, Replayer, Runner};
+pub use runner::{GenFaultRecord, Replayer, Runner};
 pub use timing::{Latencies, Timing, TimingConfig};
 pub use trace::TraceSink;

@@ -1,10 +1,11 @@
 //! The functional machine: executes program images instruction by
-//! instruction, optionally injecting one SEU and/or driving the timing model.
+//! instruction, optionally injecting one transient fault and/or driving the
+//! timing model.
 
 use crate::alu::{alu_eval, cmp_eval, sign_extend, trunc};
 use crate::checkpoint::Checkpoint;
 use crate::decode::DecodedProg;
-use crate::fault::{FaultEffect, FaultSpec, GenFault};
+use crate::fault::{FaultEffect, GenFault};
 use crate::mem::Memory;
 use crate::timing::{Timing, TimingConfig};
 use crate::trace::TraceSink;
@@ -351,51 +352,24 @@ impl<'p> Machine<'p> {
     }
 
     /// Runs to termination, optionally injecting `fault`.
-    pub fn run(mut self, fault: Option<FaultSpec>) -> RunResult {
+    pub fn run(mut self, fault: Option<GenFault>) -> RunResult {
         self.run_mut(fault)
     }
 
-    /// Runs to termination without consuming the machine, so the caller can
-    /// [`Machine::reset`] or [`Machine::restore`] it and run again —
-    /// the reusable-arena path fault campaigns use. The machine's
-    /// architectural state is spent afterwards until restored.
-    pub fn run_mut(&mut self, fault: Option<FaultSpec>) -> RunResult {
-        if let Some(d) = &self.decoded {
-            let d = Arc::clone(d);
-            return self.run_mut_decoded(&d, fault);
-        }
-        let status = loop {
-            if self.dyn_count >= self.fuel {
-                break RunStatus::OutOfFuel;
-            }
-            if let Some(f) = fault {
-                if !self.injected && self.dyn_count == f.at_instr {
-                    self.iregs[f.reg as usize] ^= 1u64 << f.bit;
-                    self.injected = true;
-                    self.fault_pc = Some(self.pc);
-                }
-            }
-            match self.step() {
-                Step::Next => self.pc += 1,
-                Step::Goto(t) => self.pc = t,
-                Step::Done(s) => break s,
-            }
-        };
-        self.take_result(status)
-    }
-
-    /// Runs to termination under a generalized fault model (see
-    /// [`GenFault`]). `RegXor { reg, mask: 1 << bit }` is pinned
-    /// bit-identical to [`Machine::run_mut`] with the equivalent
-    /// [`FaultSpec`]: same injection point, same `fault_pc`, same
-    /// architectural trajectory.
+    /// Runs to termination, optionally injecting `fault`, without
+    /// consuming the machine, so the caller can [`Machine::reset`] or
+    /// [`Machine::restore`] it and run again — the reusable-arena path
+    /// fault campaigns use. The machine's architectural state is spent
+    /// afterwards until restored. This is the legacy core's one injection
+    /// loop; the span engines (decoded, jit) run its bit-identical
+    /// counterpart in `exec.rs`.
     ///
     /// Effect semantics at the armed slot (the first top-of-loop check
     /// with that dynamic count — a probe's pc when probes precede the
-    /// counted instruction, exactly like the legacy model and the trace's
-    /// `check_pc`):
+    /// counted instruction, exactly like the trace's `check_pc`):
     ///
-    /// * `RegXor` — flip the masked bits of the register before the slot.
+    /// * `RegXor` — flip the masked bits of the register before the slot;
+    ///   `mask == 1 << bit` is the paper's §7.1 SEU.
     /// * `PcXor` — corrupt the pc before fetch; a target outside the
     ///   program image ends the run as a SEGV (wild fetch).
     /// * `MemXor` — flip one bit of one mapped memory byte; unmapped
@@ -403,10 +377,10 @@ impl<'p> Machine<'p> {
     /// * `AluXor` — corrupt the *result* of the slot's counted instruction
     ///   when it is an ALU op (truncated to its width); non-ALU slots and
     ///   pre-commit faults (division) latch nothing.
-    pub fn run_mut_gen(&mut self, fault: Option<GenFault>) -> RunResult {
+    pub fn run_mut(&mut self, fault: Option<GenFault>) -> RunResult {
         if let Some(d) = &self.decoded {
             let d = Arc::clone(d);
-            return self.run_mut_gen_decoded(&d, fault);
+            return self.run_decoded(&d, fault);
         }
         // An armed AluXor mask waiting for the slot's counted instruction.
         let mut alu_pending: Option<u64> = None;

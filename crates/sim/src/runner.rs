@@ -10,42 +10,21 @@ use sor_ir::ProtectionRole;
 use std::sync::Arc;
 
 /// One fault injection annotated with its static provenance: which static
-/// instruction the flip landed on and what protection role that instruction
-/// plays. The unit of aggregation for per-site vulnerability triage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultRecord {
-    /// The injected fault (register, bit, dynamic slot).
-    pub spec: FaultSpec,
-    /// Classified outcome of the run.
-    pub outcome: Outcome,
-    /// Static instruction (program counter) about to execute when the flip
-    /// landed; `None` when the fault point was past the end of the run, so
-    /// the fault never fired.
-    pub static_inst: Option<usize>,
-    /// Protection role of that instruction ([`ProtectionRole::Original`]
-    /// for images lowered from untagged modules or unfired faults).
-    pub role: ProtectionRole,
-}
-
-impl FaultRecord {
-    /// The dynamic instruction slot the fault was armed for.
-    pub fn dynamic_slot(&self) -> u64 {
-        self.spec.at_instr
-    }
-}
-
-/// A [`FaultRecord`] under a generalized fault model: the injected
-/// [`GenFault`] plus the same outcome/provenance annotations.
+/// instruction the fault landed on and what protection role that
+/// instruction plays. The unit of aggregation for per-site vulnerability
+/// triage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GenFaultRecord {
     /// The injected fault (effect + dynamic slot).
     pub fault: GenFault,
     /// Classified outcome of the run.
     pub outcome: Outcome,
-    /// Static instruction about to execute when the fault fired; `None`
-    /// when the fault point was past the end of the run.
+    /// Static instruction (program counter) about to execute when the
+    /// fault fired; `None` when the fault point was past the end of the
+    /// run, so the fault never fired.
     pub static_inst: Option<usize>,
-    /// Protection role of that instruction.
+    /// Protection role of that instruction ([`ProtectionRole::Original`]
+    /// for images lowered from untagged modules or unfired faults).
     pub role: ProtectionRole,
 }
 
@@ -242,6 +221,24 @@ impl<'p> Runner<'p> {
         }
     }
 
+    /// Annotates one classified run of `fault` with its provenance.
+    pub(crate) fn record(
+        &self,
+        fault: GenFault,
+        outcome: Outcome,
+        result: &RunResult,
+    ) -> GenFaultRecord {
+        GenFaultRecord {
+            fault,
+            outcome,
+            static_inst: result.fault_pc,
+            role: result
+                .fault_pc
+                .map(|pc| self.prog.role_of(pc))
+                .unwrap_or_default(),
+        }
+    }
+
     /// The golden run.
     pub fn golden(&self) -> &RunResult {
         &self.golden
@@ -284,24 +281,19 @@ impl<'p> Runner<'p> {
         }
     }
 
-    /// Runs once with `fault` injected and classifies the outcome.
+    /// Runs once with `fault` (a [`GenFault`] or an SEU [`FaultSpec`])
+    /// injected and classifies the outcome.
     ///
     /// Convenience wrapper that builds a fresh [`Replayer`] per call; loops
     /// should build one replayer and reuse it.
-    pub fn run_fault(&self, fault: FaultSpec) -> (Outcome, RunResult) {
+    pub fn run_fault(&self, fault: impl Into<GenFault>) -> (Outcome, RunResult) {
         self.replayer().run_fault(fault)
-    }
-
-    /// Runs once with the generalized `fault` injected and classifies the
-    /// outcome (convenience wrapper; loops should reuse a [`Replayer`]).
-    pub fn run_fault_gen(&self, fault: GenFault) -> (Outcome, RunResult) {
-        self.replayer().run_fault_gen(fault)
     }
 
     /// Creates a lane-parallel fault-run executor that runs up to `lanes`
     /// injections in SPMD lockstep over this runner's decoded image (see
     /// [`crate::LaneReplayer`]). The width rounds down to the supported
-    /// pack widths {2, 4, 8}; `lanes < 2` still builds a 2-wide pack
+    /// pack widths {2, 4, 8, 16}; `lanes < 2` still builds a 2-wide pack
     /// (singleton groups degrade to the scalar engine internally).
     ///
     /// # Panics
@@ -321,13 +313,15 @@ pub struct Replayer<'r, 'p> {
 }
 
 impl Replayer<'_, '_> {
-    /// Runs once with `fault` injected and classifies the outcome.
+    /// Runs once with `fault` (a [`GenFault`] or an SEU [`FaultSpec`])
+    /// injected and classifies the outcome.
     ///
     /// When checkpointing is enabled the machine restores the nearest
     /// checkpoint at or before the fault point and executes only the
     /// suffix; otherwise it resets and executes from instruction 0. Both
     /// paths return results bit-identical to a fresh from-scratch run.
-    pub fn run_fault(&mut self, fault: FaultSpec) -> (Outcome, RunResult) {
+    pub fn run_fault(&mut self, fault: impl Into<GenFault>) -> (Outcome, RunResult) {
+        let fault = fault.into();
         let prefix = self.runner.ckpts.prefix_for(fault.at_instr);
         self.machine
             .prepare_replay(prefix, &self.runner.golden.output);
@@ -335,51 +329,18 @@ impl Replayer<'_, '_> {
         (classify(&self.runner.golden, &result), result)
     }
 
-    /// Runs once with the generalized `fault` injected and classifies the
-    /// outcome. For a `RegXor { mask: 1 << bit }` effect this is pinned
-    /// bit-identical to [`Replayer::run_fault`] with the equivalent
-    /// [`FaultSpec`].
-    pub fn run_fault_gen(&mut self, fault: GenFault) -> (Outcome, RunResult) {
-        let prefix = self.runner.ckpts.prefix_for(fault.at_instr);
-        self.machine
-            .prepare_replay(prefix, &self.runner.golden.output);
-        let result = self.machine.run_mut_gen(Some(fault));
-        (classify(&self.runner.golden, &result), result)
-    }
-
-    /// Runs once with the generalized `fault` injected and returns the
-    /// provenance-annotated [`GenFaultRecord`] alongside the raw result.
-    pub fn run_fault_record_gen(&mut self, fault: GenFault) -> (GenFaultRecord, RunResult) {
-        let (outcome, result) = self.run_fault_gen(fault);
-        let role = result
-            .fault_pc
-            .map(|pc| self.runner.prog.role_of(pc))
-            .unwrap_or_default();
-        let record = GenFaultRecord {
-            fault,
-            outcome,
-            static_inst: result.fault_pc,
-            role,
-        };
-        (record, result)
-    }
-
     /// Runs once with `fault` injected and returns the provenance-annotated
-    /// [`FaultRecord`] alongside the raw result, attributing the fault to
-    /// the static instruction and protection role it landed on.
-    pub fn run_fault_record(&mut self, fault: FaultSpec) -> (FaultRecord, RunResult) {
+    /// [`GenFaultRecord`] alongside the raw result, attributing the fault
+    /// to the static instruction and protection role it landed on.
+    pub fn run_fault_record_gen(&mut self, fault: GenFault) -> (GenFaultRecord, RunResult) {
         let (outcome, result) = self.run_fault(fault);
-        let role = result
-            .fault_pc
-            .map(|pc| self.runner.prog.role_of(pc))
-            .unwrap_or_default();
-        let record = FaultRecord {
-            spec: fault,
-            outcome,
-            static_inst: result.fault_pc,
-            role,
-        };
+        let record = self.runner.record(fault, outcome, &result);
         (record, result)
+    }
+
+    /// [`Replayer::run_fault_record_gen`] for an SEU.
+    pub fn run_fault_record(&mut self, fault: FaultSpec) -> (GenFaultRecord, RunResult) {
+        self.run_fault_record_gen(fault.into())
     }
 }
 
@@ -568,32 +529,6 @@ mod tests {
         assert_eq!(first, second, "reuse changed outcomes");
     }
 
-    /// The generalized injection path with a single-bit `RegXor` is the
-    /// legacy SEU path, bit for bit: same outcome, output, dynamic count,
-    /// probes and `fault_pc`, on both engines.
-    #[test]
-    fn gen_reg_xor_single_bit_is_the_legacy_seu_exactly() {
-        for engine in ExecEngine::ALL {
-            let prog = looping_program();
-            let cfg = MachineConfig {
-                engine,
-                ..MachineConfig::default()
-            };
-            let r = Runner::new(&prog, &cfg);
-            let golden_len = r.golden().dyn_instrs;
-            let mut replayer = r.replayer();
-            for at in 0..golden_len {
-                for (reg, bit) in [(3u8, 0u8), (5, 17), (8, 62)] {
-                    let spec = FaultSpec::new(at, reg, bit);
-                    let (o_spec, r_spec) = replayer.run_fault(spec);
-                    let (o_gen, r_gen) = replayer.run_fault_gen(crate::GenFault::from_spec(spec));
-                    assert_eq!(o_spec, o_gen, "{spec} ({engine:?}): outcome diverged");
-                    assert_eq!(r_spec, r_gen, "{spec} ({engine:?}): result diverged");
-                }
-            }
-        }
-    }
-
     /// Every generalized effect is pinned decoded == legacy on every
     /// observable, across every dynamic slot of a program with calls,
     /// loops, probes-free ALU chains and memory traffic.
@@ -643,9 +578,9 @@ mod tests {
         for at in 0..golden_len {
             for effect in effects {
                 let f = GenFault::new(at, effect);
-                let (o_l, r_l) = rl.run_fault_gen(f);
-                let (o_d, r_d) = rd.run_fault_gen(f);
-                let (o_j, r_j) = rj.run_fault_gen(f);
+                let (o_l, r_l) = rl.run_fault(f);
+                let (o_d, r_d) = rd.run_fault(f);
+                let (o_j, r_j) = rj.run_fault(f);
                 assert_eq!(o_l, o_d, "{f}: outcome diverged across engines");
                 assert_eq!(r_l, r_d, "{f}: result diverged across engines");
                 assert_eq!(o_l, o_j, "{f}: jit outcome diverged");
@@ -752,7 +687,7 @@ mod tests {
             let r = Runner::new(&prog, &cfg);
             // A huge mask lands far outside any real image.
             let f = GenFault::new(1, crate::FaultEffect::PcXor { mask: 1 << 40 });
-            let (outcome, res) = r.run_fault_gen(f);
+            let (outcome, res) = r.run_fault(f);
             assert_eq!(outcome, Outcome::Segv, "{engine:?}");
             assert!(res.injected);
             assert!(res.fault_pc.is_some());

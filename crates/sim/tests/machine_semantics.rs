@@ -224,7 +224,7 @@ fn faults_before_injection_point_do_not_fire() {
     let p = lower(&m, &LowerConfig::default()).unwrap();
     // Injection point far beyond program end: fault never materializes.
     let r = Machine::new(&p, &MachineConfig::default())
-        .run(Some(sor_sim::FaultSpec::new(1_000_000, 5, 5)));
+        .run(Some(sor_sim::FaultSpec::new(1_000_000, 5, 5).into()));
     assert_eq!(r.status, RunStatus::Completed);
     assert!(!r.injected);
     assert_eq!(r.output, vec![9]);

@@ -3,7 +3,7 @@
 //! Campaign-level statistics (Figure 8's per-technique unACE / SDC / SEGV
 //! percentages) say *whether* a technique works; triage says *where it
 //! doesn't*. This crate aggregates provenance-annotated injections
-//! ([`sor_sim::FaultRecord`]) into a [`VulnerabilityProfile`]: AVF-style
+//! ([`sor_sim::GenFaultRecord`]) into a [`VulnerabilityProfile`]: AVF-style
 //! per-static-instruction, per-[protection-role](sor_ir::ProtectionRole)
 //! and per-register outcome histograms with Wilson confidence intervals,
 //! so residual SDCs can be attributed to the instruction and role they

@@ -1,7 +1,7 @@
 //! Per-fault-site outcome aggregation.
 
 use sor_ir::ProtectionRole;
-use sor_sim::{FaultEffect, FaultRecord, GenFaultRecord};
+use sor_sim::{FaultEffect, GenFaultRecord};
 use sor_stats::OutcomeCounts;
 use std::collections::BTreeMap;
 
@@ -18,7 +18,7 @@ pub struct SiteStats {
 /// AVF-style vulnerability profile: outcome histograms keyed by static
 /// instruction, protection role and target register.
 ///
-/// Built by recording [`FaultRecord`]s one at a time; profiles built from
+/// Built by recording [`GenFaultRecord`]s one at a time; profiles built from
 /// disjoint record sets [`merge`](VulnerabilityProfile::merge) into exactly
 /// the profile a single pass over the union would build, which is what
 /// makes both work-stealing campaign workers and sectional triage exact.
@@ -37,34 +37,11 @@ impl VulnerabilityProfile {
     }
 
     /// Records one annotated injection; `recoveries` is the run's observed
-    /// recovery-event count (majority votes + AN recoveries).
-    pub fn record(&mut self, rec: &FaultRecord, recoveries: u64) {
-        match rec.static_inst {
-            Some(pc) => {
-                let site = self.sites.entry(pc).or_default();
-                site.role = rec.role;
-                site.counts.record(rec.outcome, recoveries);
-                self.roles
-                    .entry(rec.role)
-                    .or_default()
-                    .record(rec.outcome, recoveries);
-                self.regs
-                    .entry(rec.spec.reg)
-                    .or_default()
-                    .record(rec.outcome, recoveries);
-            }
-            // Armed past the end of the run: no site to attribute to.
-            None => self.unfired.record(rec.outcome, recoveries),
-        }
-    }
-
-    /// Records one generalized-model injection (see
-    /// [`sor_sim::GenFaultRecord`]): site and role attribution are
-    /// identical to [`record`](Self::record); the per-register histogram
-    /// only accrues when the effect actually targets a register
-    /// (`RegXor`), since a PC, memory or ALU upset has no victim register
-    /// to attribute to.
-    pub fn record_gen(&mut self, rec: &GenFaultRecord, recoveries: u64) {
+    /// recovery-event count (majority votes + AN recoveries). The
+    /// per-register histogram only accrues when the effect targets a
+    /// register (`RegXor`, which includes every SEU): a PC, memory or ALU
+    /// upset has no victim register to attribute to.
+    pub fn record(&mut self, rec: &GenFaultRecord, recoveries: u64) {
         match rec.static_inst {
             Some(pc) => {
                 let site = self.sites.entry(pc).or_default();
@@ -81,6 +58,7 @@ impl VulnerabilityProfile {
                         .record(rec.outcome, recoveries);
                 }
             }
+            // Armed past the end of the run: no site to attribute to.
             None => self.unfired.record(rec.outcome, recoveries),
         }
     }
@@ -193,11 +171,11 @@ impl VulnerabilityProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sor_sim::{FaultSpec, Outcome};
+    use sor_sim::{FaultSpec, GenFault, Outcome};
 
-    fn rec(at: u64, reg: u8, pc: usize, role: ProtectionRole, outcome: Outcome) -> FaultRecord {
-        FaultRecord {
-            spec: FaultSpec::new(at, reg, 3),
+    fn rec(at: u64, reg: u8, pc: usize, role: ProtectionRole, outcome: Outcome) -> GenFaultRecord {
+        GenFaultRecord {
+            fault: FaultSpec::new(at, reg, 3).into(),
             outcome,
             static_inst: Some(pc),
             role,
@@ -224,8 +202,8 @@ mod tests {
     #[test]
     fn unfired_faults_do_not_gain_a_site() {
         let mut p = VulnerabilityProfile::new();
-        let r = FaultRecord {
-            spec: FaultSpec::new(1_000_000, 2, 3),
+        let r = GenFaultRecord {
+            fault: FaultSpec::new(1_000_000, 2, 3).into(),
             outcome: Outcome::UnAce,
             static_inst: None,
             role: ProtectionRole::Original,
@@ -262,31 +240,13 @@ mod tests {
         assert_eq!(ba, whole);
     }
 
-    /// A `RegXor` gen record attributes exactly like the legacy record it
-    /// generalizes; a register-less effect skips only the reg histogram.
+    /// A register-less effect attributes to its site and role but skips
+    /// the per-register histogram.
     #[test]
-    fn record_gen_matches_record_for_reg_faults_and_skips_regs_otherwise() {
-        use sor_sim::{FaultEffect, GenFault, GenFaultRecord};
-        let mut legacy = VulnerabilityProfile::new();
-        legacy.record(&rec(0, 2, 7, ProtectionRole::Voter, Outcome::Sdc), 1);
-        let mut gen = VulnerabilityProfile::new();
-        gen.record_gen(
-            &GenFaultRecord {
-                fault: GenFault::new(
-                    0,
-                    FaultEffect::RegXor {
-                        reg: 2,
-                        mask: 1 << 3,
-                    },
-                ),
-                outcome: Outcome::Sdc,
-                static_inst: Some(7),
-                role: ProtectionRole::Voter,
-            },
-            1,
-        );
-        assert_eq!(gen, legacy);
-        gen.record_gen(
+    fn register_less_effects_skip_only_the_reg_histogram() {
+        let mut p = VulnerabilityProfile::new();
+        p.record(&rec(0, 2, 7, ProtectionRole::Voter, Outcome::Sdc), 1);
+        p.record(
             &GenFaultRecord {
                 fault: GenFault::new(1, FaultEffect::PcXor { mask: 1 }),
                 outcome: Outcome::Detected,
@@ -295,11 +255,11 @@ mod tests {
             },
             0,
         );
-        assert_eq!(gen.site(9).unwrap().counts.detected, 1);
-        assert_eq!(gen.role_counts(ProtectionRole::Original).detected, 1);
+        assert_eq!(p.site(9).unwrap().counts.detected, 1);
+        assert_eq!(p.role_counts(ProtectionRole::Original).detected, 1);
         // No register to attribute the PC upset to.
-        assert_eq!(gen.regs().map(|(_, c)| c.total()).sum::<u64>(), 1);
-        assert_eq!(gen.totals().total(), 2);
+        assert_eq!(p.regs().map(|(_, c)| c.total()).sum::<u64>(), 1);
+        assert_eq!(p.totals().total(), 2);
     }
 
     #[test]
@@ -308,8 +268,8 @@ mod tests {
         p.record(&rec(0, 2, 7, ProtectionRole::Voter, Outcome::Sdc), 1);
         p.record(&rec(2, 4, 9, ProtectionRole::Original, Outcome::Segv), 0);
         p.record(
-            &FaultRecord {
-                spec: FaultSpec::new(1_000_000, 2, 3),
+            &GenFaultRecord {
+                fault: FaultSpec::new(1_000_000, 2, 3).into(),
                 outcome: Outcome::UnAce,
                 static_inst: None,
                 role: ProtectionRole::Original,

@@ -218,7 +218,7 @@ fn swiftr_voter_faults_recover_or_escape_through_vote_to_use_window() {
                     "voter-site fault {} produced {:?} but r{reg} is not consumed \
                      by the next protected use `{}` at pc {next_use} — a silent \
                      escape outside the vote-to-use window",
-                    rec.spec,
+                    rec.fault,
                     rec.outcome,
                     program.insts[next_use]
                 );

@@ -59,11 +59,11 @@ fn main() {
     let fault = (0..golden.dyn_instrs)
         .flat_map(|at| FaultSpec::injectable_regs().map(move |r| FaultSpec::new(at, r, 13)))
         .find(|&f| {
-            let r = Machine::new(&plain, &MachineConfig::default()).run(Some(f));
+            let r = Machine::new(&plain, &MachineConfig::default()).run(Some(f.into()));
             r.status != RunStatus::Completed || r.output != golden.output
         })
         .expect("some fault must damage the unprotected program");
-    let hurt = Machine::new(&plain, &MachineConfig::default()).run(Some(fault));
+    let hurt = Machine::new(&plain, &MachineConfig::default()).run(Some(fault.into()));
     println!(
         "plain under '{fault}': status {:?}, output {:?}  <- damaged",
         hurt.status, hurt.output
@@ -77,7 +77,7 @@ fn main() {
     let mut repaired_total = 0u64;
     for delta in 0..16 {
         let f = FaultSpec::new(at + delta, fault.reg, fault.bit);
-        let r = Machine::new(&hardened, &MachineConfig::default()).run(Some(f));
+        let r = Machine::new(&hardened, &MachineConfig::default()).run(Some(f.into()));
         assert_eq!(r.output, vec![5050], "SWIFT-R must still be correct");
         repaired_total += r.probes.vote_repairs;
     }

@@ -1,6 +1,7 @@
 //! Targeted fault-injection integration tests: the recovery mechanisms, the
 //! windows of vulnerability (§3.2) and the figure pipeline.
 
+use software_only_recovery::harness::{FaultModel, OutcomeCounts};
 use software_only_recovery::prelude::*;
 use software_only_recovery::recovery::Technique as T;
 use software_only_recovery::workloads::{AdpcmDec, Mpeg2Enc, Parser};
@@ -104,7 +105,10 @@ fn swift_detects_instead_of_corrupting() {
     );
 }
 
-/// Campaign determinism across repeated invocations (same seed).
+/// Campaign determinism across repeated invocations (same seed), pinned
+/// to literal histograms so a change to fault drawing or injection shows
+/// up here: the paper's SEU model (also through 8-wide lanes) and the
+/// transient-ALU model.
 #[test]
 fn campaigns_are_reproducible() {
     let w = Parser {
@@ -116,9 +120,34 @@ fn campaigns_are_reproducible() {
         threads: 3,
         ..CampaignConfig::default()
     };
-    let a = run_campaign(&w, T::TrumpMask, &cfg);
-    let b = run_campaign(&w, T::TrumpMask, &cfg);
-    assert_eq!(a.counts, b.counts);
+    let seu = OutcomeCounts {
+        unace: 32,
+        sdc: 3,
+        segv: 5,
+        detected: 0,
+        hang: 0,
+        recoveries: 0,
+    };
+    let alu = OutcomeCounts {
+        unace: 28,
+        sdc: 11,
+        segv: 1,
+        detected: 0,
+        hang: 0,
+        recoveries: 4,
+    };
+    let lanes = CampaignConfig {
+        lanes: 8,
+        ..cfg.clone()
+    };
+    let transient = CampaignConfig {
+        fault_model: FaultModel::TransientAlu,
+        ..cfg.clone()
+    };
+    for (config, expected) in [(&cfg, seu), (&cfg, seu), (&lanes, seu), (&transient, alu)] {
+        let r = run_campaign(&w, T::TrumpMask, config);
+        assert_eq!(r.counts, expected, "{}", config.fault_model);
+    }
 }
 
 /// The reliability ordering that is the paper's whole point, on one

@@ -209,7 +209,7 @@ fn swiftr_bounds_silent_corruption() {
                 reg,
                 rng.gen_range(0, 64) as u8,
             );
-            let r = Machine::new(&p, &MachineConfig::default()).run(Some(f));
+            let r = Machine::new(&p, &MachineConfig::default()).run(Some(f.into()));
             if r.status == RunStatus::Completed && r.output != golden.output {
                 corrupt += 1;
             }
