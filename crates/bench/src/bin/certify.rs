@@ -10,7 +10,7 @@
 //! `--threads N` (default all cores), `--fault-model M` (default
 //! `seu-reg`; generalized models certify monolithically and bypass the
 //! store; `mem-bit` has no exhaustive plan and is rejected with
-//! guidance), `--engine legacy|decoded|jit` (execution engine — results
+//! guidance), `--engine decoded|jit` (execution engine — results
 //! are bit-identical, so this only changes throughput; default
 //! `decoded`), `--store DIR` persistent result store directory (default
 //! `results/store`), `--no-store` to disable the store and certify

@@ -14,8 +14,6 @@
 //! model-independent, so the numbers never change, but non-default
 //! models tag each JSON row with the model slug so downstream tooling
 //! can join coverage rows against model-tagged campaign results.
-//! `--engine E` is likewise accepted (and validated) for flag parity:
-//! static coverage never executes anything, so it is a no-op here.
 
 use sor_core::{coverage, Pipeline, Technique, TransformConfig};
 use sor_workloads::all_workloads;
@@ -26,10 +24,6 @@ fn main() {
         eprintln!(
             "coverage: static analysis is fault-model-independent; tagging rows with {model}"
         );
-    }
-    let engine = sor_bench::engine_arg();
-    if engine != sor_harness::ExecEngine::default() {
-        eprintln!("coverage: static analysis never executes; --engine {engine} is a no-op");
     }
     let model_tag = if model.is_default() {
         String::new()

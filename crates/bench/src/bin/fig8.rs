@@ -5,7 +5,7 @@
 //! Flags: `--runs N` injections per cell (default 250), `--seed S`
 //! campaign seed (default `0x5EED`), `--fault-model M` (default
 //! `seu-reg`; non-default models write model-suffixed result files and
-//! tag every JSON row), `--engine legacy|decoded|jit` (execution engine —
+//! tag every JSON row), `--engine decoded|jit` (execution engine —
 //! results are bit-identical, so this only changes throughput; default
 //! `decoded`), `--json` to additionally write `results/fig8.json`.
 

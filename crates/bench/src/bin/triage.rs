@@ -8,7 +8,7 @@
 //! Flags: `--runs N` injections per technique (default 400), `--threads N`
 //! (default all cores), `--samples N` workload size (default 200),
 //! `--fault-model M` (default `seu-reg`; generalized models run
-//! monolithically, bypassing the store), `--engine legacy|decoded|jit`
+//! monolithically, bypassing the store), `--engine decoded|jit`
 //! (execution engine — results are bit-identical, so this only changes
 //! throughput; default `decoded`),
 //! `--top N` heatmap rows per technique (default 10), `--store DIR`

@@ -1,4 +1,4 @@
-//! # sor-bench — figure regeneration and engineering benches
+//! # sor-bench — figure and science-artifact regeneration
 //!
 //! Binaries (run with `--release`):
 //!
@@ -14,39 +14,27 @@
 //!   additionally writes `results/coverage.json`).
 //! * `ablation` — design-choice sweeps: check-placement density and issue
 //!   width (DESIGN.md §7).
-//! * `campaign_bench` — fault-injection campaign throughput with
-//!   checkpoint-and-replay on vs. off (`BENCH_campaign.json`).
 //! * `triage` — per-fault-site vulnerability profiles for every technique:
 //!   `results/triage_<technique>.json` plus the `results/triage_heatmap.md`
 //!   top-N table and residual-SDC role attribution.
-//! * `triage_bench` — provenance-profiling overhead vs. the plain campaign
-//!   (`BENCH_triage.json`).
 //! * `certify` — exhaustive `sor-ace` certification of one workload's
 //!   entire fault space per technique, exact fractions with per-role
 //!   attribution (`results/certified_<technique>.json`; extension
 //!   experiment E9).
-//! * `ace_bench` — certification efficiency vs. true brute-force injection
-//!   of every site: asserts identical histograms, then reports the
-//!   injection-count reduction and wall-clock speedup (`BENCH_ace.json`).
-//! * `incremental_bench` — what the persistent content-addressed result
-//!   store buys: cold vs. warm vs. one-workload-changed certification
-//!   sweeps, bit-identity asserted before timing (`BENCH_incremental.json`;
-//!   extension experiment E12).
 //!
 //! All bins spell their common flags the same way: `--runs N`, `--seed S`,
-//! `--threads N`, `--samples N`, `--json`. The injection-driving bins
-//! (`fig8`, `certify`, `triage`, `coverage`) also take `--engine
-//! legacy|decoded|jit` — a pure throughput knob (all engines are
-//! bit-identical by contract; `jit` degrades to `decoded` off
-//! x86-64/Linux), defaulting to `decoded` so existing outputs stay
-//! byte-identical. `certify` and `triage`
+//! `--threads N`, `--samples N`, `--json`. The injecting bins (`fig8`,
+//! `certify`, `triage`) also take `--engine decoded|jit` — a pure
+//! throughput knob (the engines are bit-identical by contract; `jit`
+//! degrades to `decoded` off x86-64/Linux), defaulting to `decoded` so
+//! existing outputs stay byte-identical. `certify` and `triage`
 //! additionally take `--store DIR` / `--no-store` / `--sections N` for the
 //! persistent result store (see `sor_harness::ResultStore`).
 //!
-//! Engineering benches (`cargo bench`): transform throughput, simulator
-//! throughput, end-to-end per-technique cost on a small kernel. They use
-//! the self-contained [`bench_ns`] timer (the offline build has no
-//! Criterion) and print one `group/name: time /iter` line each.
+//! Performance is measured by the standalone `perfbench/` package, not by
+//! these bins: it times the Figure-8 campaigns, incremental
+//! re-certification, the Figure-9 timing runs and the job server
+//! repeatedly under noise bounds (see `perfbench/README.md`).
 
 /// Parses a `--flag value` style argument from the command line.
 pub fn arg_value(name: &str) -> Option<String> {
@@ -59,59 +47,6 @@ pub fn arg_value(name: &str) -> Option<String> {
 /// Whether a bare `--flag` (no value) is present on the command line.
 pub fn flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
-}
-
-/// The one JSON serializer every `*_bench` bin shares, so the
-/// `BENCH_*.json` schemas stay aligned: same envelope (workload,
-/// technique, runs where applicable, the *resolved* worker-thread count —
-/// never the ambiguous `0` meaning "all cores" — the lane width, golden
-/// instruction count) followed by bin-specific measurements in insertion
-/// order.
-#[derive(Default)]
-pub struct BenchReport {
-    fields: Vec<(String, String)>,
-}
-
-impl BenchReport {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a JSON string field.
-    pub fn str(mut self, key: &str, value: impl std::fmt::Display) -> Self {
-        self.fields.push((key.to_string(), format!("\"{value}\"")));
-        self
-    }
-
-    /// Appends a raw (numeric/pre-rendered) JSON field; pass formatted
-    /// strings like `format!("{secs:.4}")` for controlled precision.
-    pub fn num(mut self, key: &str, value: impl std::fmt::Display) -> Self {
-        self.fields.push((key.to_string(), value.to_string()));
-        self
-    }
-
-    /// Renders the whole report as pretty-printed JSON.
-    pub fn render(&self) -> String {
-        let mut out = String::from("{\n");
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            let comma = if i + 1 == self.fields.len() { "" } else { "," };
-            out.push_str(&format!("  \"{k}\": {v}{comma}\n"));
-        }
-        out.push_str("}\n");
-        out
-    }
-
-    /// Writes the rendered report to `path` (also printing it to stdout)
-    /// and logs the outcome to stderr.
-    pub fn write(&self, path: &str) -> String {
-        let json = self.render();
-        match std::fs::write(path, &json) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
-        print!("{json}");
-        json
-    }
 }
 
 /// Parses `--fault-model M` (default `seu-reg`), exiting with the known
@@ -172,88 +107,10 @@ pub fn write_results(name: &str, contents: &str) -> std::io::Result<std::path::P
     Ok(path)
 }
 
-/// Minimal wall-clock micro-bench: doubles the iteration count until one
-/// pass takes at least ~40 ms, then runs three measured passes and returns
-/// the best (lowest) mean nanoseconds per iteration. Best-of-N discards
-/// scheduler noise, which only ever slows a pass down.
-pub fn bench_ns<T>(mut f: impl FnMut() -> T) -> f64 {
-    use std::time::{Duration, Instant};
-    let mut iters: u64 = 1;
-    loop {
-        let t = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(f());
-        }
-        if t.elapsed() >= Duration::from_millis(40) || iters >= 1 << 24 {
-            break;
-        }
-        iters = iters.saturating_mul(2);
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(f());
-        }
-        let ns = t.elapsed().as_nanos() as f64 / iters as f64;
-        if ns < best {
-            best = ns;
-        }
-    }
-    best
-}
-
-/// Renders a nanosecond figure with a readable unit.
-pub fn fmt_ns(ns: f64) -> String {
-    if ns < 1_000.0 {
-        format!("{ns:.0} ns")
-    } else if ns < 1_000_000.0 {
-        format!("{:.2} µs", ns / 1e3)
-    } else if ns < 1e9 {
-        format!("{:.2} ms", ns / 1e6)
-    } else {
-        format!("{:.3} s", ns / 1e9)
-    }
-}
-
-/// Times `f` and prints the standard one-line report.
-pub fn report<T>(group: &str, name: &str, f: impl FnMut() -> T) -> f64 {
-    let ns = bench_ns(f);
-    println!("{group}/{name}: {} /iter", fmt_ns(ns));
-    ns
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
     fn runs_arg_defaults() {
         assert_eq!(super::runs_arg(123), 123);
-    }
-
-    #[test]
-    fn fmt_ns_picks_units() {
-        assert_eq!(super::fmt_ns(512.0), "512 ns");
-        assert_eq!(super::fmt_ns(1_500.0), "1.50 µs");
-        assert_eq!(super::fmt_ns(2_000_000.0), "2.00 ms");
-        assert_eq!(super::fmt_ns(3.2e9), "3.200 s");
-    }
-
-    #[test]
-    fn bench_report_renders_ordered_json() {
-        let json = super::BenchReport::new()
-            .str("workload", "adpcmdec")
-            .num("runs", 2000)
-            .num("speedup", format!("{:.3}", 4.24681))
-            .render();
-        assert_eq!(
-            json,
-            "{\n  \"workload\": \"adpcmdec\",\n  \"runs\": 2000,\n  \"speedup\": 4.247\n}\n"
-        );
-    }
-
-    #[test]
-    fn bench_ns_measures_something() {
-        let ns = super::bench_ns(|| std::hint::black_box(1u64).wrapping_mul(3));
-        assert!(ns.is_finite() && ns >= 0.0);
     }
 }

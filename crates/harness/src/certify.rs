@@ -563,18 +563,28 @@ mod tests {
         (counts, sites, roles, golden_len)
     }
 
-    /// The acceptance-criteria oracle: on two workloads x three
-    /// techniques, the pruned + class-collapsed certification equals
-    /// brute-force all-sites injection bit-for-bit — the whole outcome
-    /// histogram (recoveries included), the per-site map and the per-role
-    /// map — while executing >= 5x fewer injections.
+    /// The acceptance-criteria oracle: on two micro-workloads x three
+    /// techniques, plus a one-sample `adpcmdec` under SWIFT-R (260 golden
+    /// instructions, 515,840 sites), the pruned + class-collapsed
+    /// certification equals brute-force all-sites injection bit-for-bit —
+    /// the whole outcome histogram (recoveries included), the per-site map
+    /// and the per-role map — while executing >= 5x fewer injections.
     #[test]
     fn certification_equals_brute_force_bit_for_bit() {
         for technique in [Technique::SwiftR, Technique::Trump, Technique::Swift] {
-            for (name, program) in [
+            let mut programs = vec![
                 ("chain", chain_program(technique)),
                 ("memsel", mem_program(technique)),
-            ] {
+            ];
+            if technique == Technique::SwiftR {
+                let adpcm = sor_workloads::AdpcmDec {
+                    samples: 1,
+                    seed: 1,
+                };
+                let module = technique.apply(&adpcm.build());
+                programs.push(("adpcmdec", lower(&module, &LowerConfig::default()).unwrap()));
+            }
+            for (name, program) in programs {
                 let certified = certify_program(&program, name, &technique.to_string(), 2, 3);
                 let (counts, sites, roles, golden_len) = brute_force(&program);
                 let label = format!("{name}/{technique}");

@@ -12,7 +12,7 @@
 //! Submission flags: `--kind certify|triage|campaign`, `--technique T`
 //! (any spelling: `swiftr`, `swift-r`, `TRUMP/SWIFT-R`), `--fault-model M`
 //! (`seu-reg` default, `pc-corrupt`, `mem-bit`, `multi-bit`,
-//! `transient-alu`), `--engine legacy|decoded|jit` (execution engine;
+//! `transient-alu`), `--engine decoded|jit` (execution engine;
 //! results are bit-identical, `jit` degrades to `decoded` off x86-64),
 //! `--workload W`, `--samples N`, `--runs N`,
 //! `--seed N`, `--sections N`, `--threads N`, `--lanes N`,

@@ -112,6 +112,19 @@ pub fn parse_technique(s: &str) -> Option<Technique> {
     }
 }
 
+/// Largest `runs` a job may request. The worker draws every fault up
+/// front, so an unbounded count could exhaust memory, and a failed
+/// allocation aborts the whole server rather than failing the job.
+pub const MAX_RUNS: u64 = 1_000_000;
+
+/// Largest `samples` a job may request (`adpcmdec` builds one input per
+/// sample, and the golden run and every fault run grow with it).
+pub const MAX_SAMPLES: u64 = 10_000;
+
+/// Largest `sections` a job may request (triage and certification build
+/// one section per unit up front).
+pub const MAX_SECTIONS: u64 = 4_096;
+
 /// A validated job submission.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
@@ -185,6 +198,14 @@ impl JobSpec {
                     .ok_or(format!("\"{key}\" must be a non-negative integer")),
             }
         };
+        let bounded = |key: &str, default: u64, max: u64| -> Result<u64, String> {
+            let n = u64_field(key, default)?;
+            if n > max {
+                Err(format!("\"{key}\" must be at most {max}"))
+            } else {
+                Ok(n)
+            }
+        };
         let workloads = match v.get("workloads") {
             None => Vec::new(),
             Some(x) => x
@@ -216,11 +237,11 @@ impl JobSpec {
                 .and_then(Json::as_str)
                 .unwrap_or("adpcmdec")
                 .to_string(),
-            samples: u64_field("samples", 40)?,
+            samples: bounded("samples", 40, MAX_SAMPLES)?,
             wseed: u64_field("wseed", 1)?,
-            runs: u64_field("runs", default_runs)?,
+            runs: bounded("runs", default_runs, MAX_RUNS)?,
             seed: u64_field("seed", 0x5EED)?,
-            sections: u64_field("sections", 8)? as usize,
+            sections: bounded("sections", 8, MAX_SECTIONS)? as usize,
             threads: u64_field("threads", 0)? as usize,
             lanes: u64_field("lanes", 1)? as usize,
             workloads,
@@ -663,9 +684,41 @@ mod tests {
             r#"{"kind": "campaign", "workloads": [7]}"#,
             r#"{"kind": "certify", "fault_model": "cosmic-ray"}"#,
             r#"{"kind": "certify", "engine": "warp"}"#,
+            r#"{"kind": "certify", "engine": "legacy"}"#,
         ] {
             let v = Json::parse(bad).unwrap();
             assert!(JobSpec::from_json(&v).is_err(), "accepted {bad}");
         }
+
+        // Sizes are bounded, inclusively, and the refusal names the field.
+        for (field, max) in [
+            ("runs", MAX_RUNS),
+            ("samples", MAX_SAMPLES),
+            ("sections", MAX_SECTIONS),
+        ] {
+            let at = Json::parse(&format!(r#"{{"kind": "triage", "{field}": {max}}}"#)).unwrap();
+            assert!(JobSpec::from_json(&at).is_ok(), "{field} = {max}");
+            let over =
+                Json::parse(&format!(r#"{{"kind": "triage", "{field}": {}}}"#, max + 1)).unwrap();
+            let err = JobSpec::from_json(&over).unwrap_err();
+            assert!(err.contains(field), "{field}: {err}");
+        }
+    }
+
+    #[test]
+    fn registry_drops_persisted_jobs_over_the_limits() {
+        let dir = temp_dir("limits");
+        {
+            let mut reg = Registry::load(&dir);
+            reg.create(spec(JobKind::Certify));
+            let mut big = spec(JobKind::Campaign);
+            big.runs = MAX_RUNS + 1;
+            reg.create(big);
+            reg.persist();
+        }
+        let reg = Registry::load(&dir);
+        assert!(reg.job(1).is_some(), "in-range job kept");
+        assert!(reg.job(2).is_none(), "over-limit job dropped");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -91,8 +91,20 @@ fn hostile_requests_get_structured_errors_and_the_server_survives() {
     let r = raw(&addr, &endless);
     assert_eq!(status_of(&r), 431, "{r}");
 
-    // Invalid job JSON → 400 with the parser's message, not a panic.
-    for body in ["{", "[]", "{\"kind\": \"frobnicate\"}", "{\"kind\": 7}"] {
+    // Invalid job JSON → 400 with the parser's message, not a panic. The
+    // oversized jobs would each make the worker allocate in proportion and
+    // abort the process; the legacy stepper is a test oracle, not an
+    // engine a job may select.
+    for body in [
+        "{",
+        "[]",
+        "{\"kind\": \"frobnicate\"}",
+        "{\"kind\": 7}",
+        "{\"kind\": \"triage\", \"sections\": 1000000000000}",
+        "{\"kind\": \"campaign\", \"runs\": 1000000000000}",
+        "{\"kind\": \"certify\", \"samples\": 100000000000}",
+        "{\"kind\": \"certify\", \"engine\": \"legacy\"}",
+    ] {
         let r = raw(
             &addr,
             format!(
