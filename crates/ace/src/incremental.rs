@@ -32,7 +32,7 @@
 //!    whenever injection/outcome-classification semantics change
 //!    incompatibly.
 //!
-//! Deliberately *excluded*: thread count, lane width, checkpoint interval
+//! Deliberately *excluded*: thread count, checkpoint interval
 //! and execution engine (results are pinned independent of them by the
 //! differential and campaign-determinism tests), and workload/technique
 //! *names* — labels are applied at assembly time, never cached, so two

@@ -32,13 +32,6 @@ pub struct CampaignConfig {
     /// jit engine for paper-scale throughput (bit-identical results on
     /// all three).
     pub engine: ExecEngine,
-    /// SPMD lane width for batched injection (see
-    /// [`sor_sim::LaneReplayer`]): `1` (the default) runs each fault on a
-    /// scalar machine; `2`/`4`/`8`/`16` execute that many injections in
-    /// lockstep over one decoded program, with bit-identical results.
-    /// Lanes batch single-bit register upsets only, so they need the
-    /// decoded engine and a fault list of SEUs; silently scalar otherwise.
-    pub lanes: usize,
     /// Transform configuration.
     pub transform: sor_core::TransformConfig,
     /// Fault model injections are drawn from (see [`FaultModel`]). The
@@ -57,7 +50,6 @@ impl Default for CampaignConfig {
             threads: 0,
             checkpoint_interval: MachineConfig::AUTO_CHECKPOINT,
             engine: ExecEngine::default(),
-            lanes: 1,
             transform: sor_core::TransformConfig::default(),
             fault_model: FaultModel::SeuReg,
         }
@@ -165,15 +157,14 @@ fn inject(
     let golden_len = runner.golden().dyn_instrs;
     let faults = draw_gen_faults(cfg, wl_name, technique, program, golden_len);
     // Work-stealing over the shared pool (see `pool::inject_faults`):
-    // fault runs have wildly variable lengths, so workers steal faults (or
-    // lane groups) as they finish. Summing is commutative, so `counts` is
-    // exactly the same whatever the thread count, lane width or
-    // interleaving — the determinism invariant the campaign tests pin.
+    // fault runs have wildly variable lengths, so workers steal faults as
+    // they finish. Summing is commutative, so `counts` is exactly the same
+    // whatever the thread count or interleaving — the determinism
+    // invariant the campaign tests pin.
     let total: OutcomeCounts = pool::inject_faults(
         &runner,
         &faults,
         cfg.threads,
-        cfg.lanes,
         |acc: &mut OutcomeCounts, _, rec, res| {
             acc.record(
                 rec.outcome,

@@ -36,13 +36,6 @@ pub struct CertifyConfig {
     /// Golden-run checkpoint interval (see
     /// [`MachineConfig::checkpoint_interval`]).
     pub checkpoint_interval: u64,
-    /// SPMD lane width for batched injection (see
-    /// [`sor_sim::LaneReplayer`]): each `seu-reg` read-window equivalence
-    /// class is 64 same-slot faults, which lane groups of width 2/4/8/16
-    /// tile exactly. `1` (the default) runs scalar, as do models whose
-    /// faults are not single-bit register upsets; results are
-    /// bit-identical either way.
-    pub lanes: usize,
     /// Transform configuration.
     pub transform: sor_core::TransformConfig,
     /// Contiguous dynamic-slot sections the incremental path
@@ -75,7 +68,6 @@ impl Default for CertifyConfig {
         CertifyConfig {
             threads: 0,
             checkpoint_interval: MachineConfig::AUTO_CHECKPOINT,
-            lanes: 1,
             transform: sor_core::TransformConfig::default(),
             sections: 8,
             fault_model: FaultModel::SeuReg,
@@ -115,7 +107,7 @@ pub fn run_certified_campaign_in(
 }
 
 /// Certifies one lowered program's full `seu-reg` fault space with the
-/// default engine and no lanes — the reference the incremental path is
+/// default engine — the reference the incremental path is
 /// pinned against.
 ///
 /// Results are independent of `threads`: workers fill a per-class result
@@ -145,7 +137,7 @@ pub fn certify_program(
 /// the compiled native image when given. `Err(ModelPlanError::NotCertifiable)`
 /// for models with no sound pruning argument ([`FaultModel::MemBit`]).
 ///
-/// Results are independent of thread count and lane width: workers fold
+/// Results are independent of thread count: workers fold
 /// into per-class result slots, and assembly walks classes in plan order.
 pub fn certify_program_model(
     program: &Program,
@@ -163,10 +155,9 @@ pub fn certify_program_model(
 
     // The plan flattens to each class's effects at its representative
     // slot, with a parallel class-index map (classes carry model-specific
-    // effect lists). The shared pool work-steals them (scalar) or their
-    // lane groups, which tile `seu-reg` classes exactly (64 % lane width
-    // == 0). Folding by class index keeps per-class slots exact, so the
-    // report is identical for any thread count or lane width — windows
+    // effect lists). The shared pool work-steals them. Folding by class
+    // index keeps per-class slots exact, so the report is identical for
+    // any thread count — windows
     // ending late in the run replay long suffixes, so classes, like
     // sampled faults, have wildly variable costs and still want stealing.
     let mut faults: Vec<GenFault> = Vec::new();
@@ -179,7 +170,6 @@ pub fn certify_program_model(
         &runner,
         &faults,
         cfg.threads,
-        cfg.lanes,
         |acc: &mut Vec<OutcomeCounts>, i, rec, res| {
             let class = class_of[i];
             if acc.len() <= class {
@@ -425,7 +415,6 @@ pub fn certify_resumable(
             &runner,
             &faults,
             cfg.threads,
-            cfg.lanes,
             |acc: &mut Vec<OutcomeCounts>, i, rec, res| {
                 let class = i / 64;
                 if acc.len() <= class {

@@ -66,7 +66,7 @@ pub use certify::{
 pub use ctrl::RunCtrl;
 pub use figures::{FigureEight, FigureNine};
 pub use perf::{measure_perf, measure_perf_in, PerfConfig, PerfResult};
-pub use pool::{resolve_lanes, resolve_threads};
+pub use pool::resolve_threads;
 pub use render::{
     certified_json, certified_json_model, technique_slug, triage_json, triage_json_model,
 };

@@ -217,7 +217,6 @@ pub fn run_triaged_campaign_resumable(
                 &runner,
                 &faults,
                 cfg.threads,
-                cfg.lanes,
                 |acc: &mut VulnerabilityProfile, _, rec, res| {
                     acc.record(rec, res.probes.vote_repairs + res.probes.trump_recovers);
                 },
@@ -257,12 +256,11 @@ fn inject_profiled(
     let faults = draw_gen_faults(cfg, wl_name, technique, program, golden_len);
     // Same shared worker pool as the plain campaign; profile merge is
     // commutative and associative, so the merged profile is independent of
-    // thread count, lane width and interleaving.
+    // thread count and interleaving.
     let whole: VulnerabilityProfile = pool::inject_faults(
         &runner,
         &faults,
         cfg.threads,
-        cfg.lanes,
         |acc: &mut VulnerabilityProfile, _, rec, res| {
             acc.record(rec, res.probes.vote_repairs + res.probes.trump_recovers);
         },

@@ -11,15 +11,12 @@
 //!   [`GenFaultRecord`]s plus raw results — including `fault_pc`,
 //! * whole campaign histograms under identical seeds.
 //!
-//! The lanes column extends the matrix along a third axis: lane-batched
-//! SPMD execution ([`sor_sim::LaneReplayer`]) at widths 2/4/8/16 must be
-//! bit-identical to scalar decoded replay — per-fault records, sampled
-//! and triaged campaign histograms, and certified-coverage reports alike.
-//!
-//! The jit column extends it along a fourth: the native x86-64 superblock
-//! JIT ([`sor_sim::JitProg`]) services fault slots, probes, fuel and
-//! checkpoint boundaries only at span edges, so every cell above must
-//! also hold with `jit == decoded == legacy`. Where native compilation is
+//! The jit column extends the matrix along a third axis: the native x86-64
+//! superblock JIT ([`sor_sim::JitProg`]) services fault slots, probes,
+//! fuel and checkpoint boundaries only at span edges, so every cell above
+//! must also hold with `jit == decoded == legacy` — per-fault records,
+//! sampled and triaged campaign histograms, and certified-coverage
+//! reports alike. Where native compilation is
 //! unavailable the jit engine degrades to the decoded interpreter, and
 //! the same assertions pin the fallback instead.
 
@@ -30,7 +27,7 @@ use sor_harness::{
 };
 use sor_regalloc::LowerConfig;
 use sor_rng::SmallRng;
-use sor_sim::{ExecEngine, FaultSpec, MachineConfig, Runner, TraceSink};
+use sor_sim::{ExecEngine, FaultSpec, GenFault, MachineConfig, Runner, TraceSink};
 use sor_workloads::{AdpcmDec, Art, Mpeg2Dec, Mpeg2Enc, Workload};
 use std::sync::Arc;
 
@@ -167,7 +164,6 @@ fn decoded_engine_matches_legacy_bit_for_bit() {
             let mut d_replayer = decoded.replayer();
             let mut l_replayer = legacy.replayer();
             let mut j_replayer = jit.replayer();
-            let mut scalar_records = Vec::new();
             for &f in &faults {
                 let (d_rec, d_res) = d_replayer.run_fault_record(f);
                 let (l_rec, l_res) = l_replayer.run_fault_record(f);
@@ -176,25 +172,6 @@ fn decoded_engine_matches_legacy_bit_for_bit() {
                 assert_eq!(d_res, l_res, "{label}: {f} result diverged");
                 assert_eq!(j_rec, l_rec, "{label}: {f} jit record diverged");
                 assert_eq!(j_res, l_res, "{label}: {f} jit result diverged");
-                scalar_records.push((d_rec, d_res));
-            }
-
-            // The lanes column: the same battery, grouped into lockstep
-            // packs of every supported width, must reproduce the scalar
-            // records and results bit-for-bit.
-            for lanes in [2, 4, 8, 16] {
-                let mut lane_replayer = decoded.lane_replayer(lanes);
-                for (chunk_idx, group) in faults.chunks(lanes).enumerate() {
-                    let got = lane_replayer.run_fault_group_records(group);
-                    for (k, lane_rec) in got.iter().enumerate() {
-                        let scalar = &scalar_records[chunk_idx * lanes + k];
-                        assert_eq!(
-                            *lane_rec, *scalar,
-                            "{label}: {} diverged at {lanes} lanes",
-                            group[k]
-                        );
-                    }
-                }
             }
         }
     }
@@ -226,13 +203,12 @@ fn campaign_histograms_agree_across_engines() {
     }
 }
 
-/// The lanes-vs-scalar campaign matrix: across three techniques and three
-/// structurally different workloads, lane-batched campaigns at every
-/// supported width reproduce the scalar histograms exactly — sampled
-/// counts, the full triaged vulnerability profile, and the complete
-/// certified-coverage report (per-site and per-role maps included).
+/// The jit-vs-decoded campaign matrix: across three techniques and three
+/// structurally different workloads, jit campaigns reproduce the decoded
+/// histograms exactly — sampled counts and the full triaged
+/// vulnerability profile.
 #[test]
-fn lane_campaigns_match_scalar_across_matrix() {
+fn jit_campaigns_match_decoded_across_matrix() {
     let workloads: Vec<Box<dyn Workload>> = vec![
         Box::new(AdpcmDec {
             samples: 60,
@@ -244,37 +220,25 @@ fn lane_campaigns_match_scalar_across_matrix() {
     for w in &workloads {
         for technique in [Technique::SwiftR, Technique::Trump, Technique::Swift] {
             let label = format!("{}/{technique}", w.name());
-            let cfg = |lanes, engine| CampaignConfig {
+            let cfg = |engine| CampaignConfig {
                 runs: 48,
                 seed: 11,
                 threads: 2,
-                lanes,
                 engine,
                 ..Default::default()
             };
-            let scalar = run_campaign(w.as_ref(), technique, &cfg(1, ExecEngine::Decoded));
-            for lanes in [2, 4, 8, 16] {
-                let laned = run_campaign(w.as_ref(), technique, &cfg(lanes, ExecEngine::Decoded));
-                assert_eq!(
-                    laned.counts, scalar.counts,
-                    "{label}: {lanes}-lane histogram diverged"
-                );
-                assert_eq!(laned.golden_instrs, scalar.golden_instrs, "{label}");
-            }
-            let jit = run_campaign(w.as_ref(), technique, &cfg(1, ExecEngine::Jit));
-            assert_eq!(jit.counts, scalar.counts, "{label}: jit histogram diverged");
-            assert_eq!(jit.golden_instrs, scalar.golden_instrs, "{label}: jit");
-            let triaged_scalar =
-                run_triaged_campaign(w.as_ref(), technique, &cfg(1, ExecEngine::Decoded));
-            let triaged_laned =
-                run_triaged_campaign(w.as_ref(), technique, &cfg(8, ExecEngine::Decoded));
+            let decoded = run_campaign(w.as_ref(), technique, &cfg(ExecEngine::Decoded));
+            let jit = run_campaign(w.as_ref(), technique, &cfg(ExecEngine::Jit));
             assert_eq!(
-                triaged_laned.profile, triaged_scalar.profile,
-                "{label}: triage profile diverged under lanes"
+                jit.counts, decoded.counts,
+                "{label}: jit histogram diverged"
             );
-            let triaged_jit = run_triaged_campaign(w.as_ref(), technique, &cfg(1, ExecEngine::Jit));
+            assert_eq!(jit.golden_instrs, decoded.golden_instrs, "{label}: jit");
+            let triaged_decoded =
+                run_triaged_campaign(w.as_ref(), technique, &cfg(ExecEngine::Decoded));
+            let triaged_jit = run_triaged_campaign(w.as_ref(), technique, &cfg(ExecEngine::Jit));
             assert_eq!(
-                triaged_jit.profile, triaged_scalar.profile,
+                triaged_jit.profile, triaged_decoded.profile,
                 "{label}: triage profile diverged under jit"
             );
         }
@@ -282,9 +246,9 @@ fn lane_campaigns_match_scalar_across_matrix() {
 }
 
 /// Certified campaigns — the exhaustive, exact fault-space reports — are
-/// unchanged by lane batching, down to every per-site and per-role count.
+/// unchanged by the jit engine, down to every per-site and per-role count.
 #[test]
-fn lane_certified_campaigns_match_scalar() {
+fn jit_certified_campaigns_match_decoded() {
     let workloads: Vec<Box<dyn Workload>> = vec![
         Box::new(AdpcmDec {
             samples: 4,
@@ -296,24 +260,14 @@ fn lane_certified_campaigns_match_scalar() {
     for w in &workloads {
         for technique in [Technique::SwiftR, Technique::Trump, Technique::Swift] {
             let label = format!("{}/{technique}", w.name());
-            let cfg = |lanes, engine| CertifyConfig {
+            let cfg = |engine| CertifyConfig {
                 threads: 2,
-                lanes,
                 engine,
                 ..Default::default()
             };
-            let scalar =
-                run_certified_campaign(w.as_ref(), technique, &cfg(1, ExecEngine::Decoded));
-            for lanes in [4, 8] {
-                let laned =
-                    run_certified_campaign(w.as_ref(), technique, &cfg(lanes, ExecEngine::Decoded));
-                assert_eq!(
-                    laned, scalar,
-                    "{label}: certified report diverged at {lanes} lanes"
-                );
-            }
-            let jit = run_certified_campaign(w.as_ref(), technique, &cfg(1, ExecEngine::Jit));
-            assert_eq!(jit, scalar, "{label}: certified report diverged under jit");
+            let decoded = run_certified_campaign(w.as_ref(), technique, &cfg(ExecEngine::Decoded));
+            let jit = run_certified_campaign(w.as_ref(), technique, &cfg(ExecEngine::Jit));
+            assert_eq!(jit, decoded, "{label}: certified report diverged under jit");
         }
     }
 }
@@ -321,12 +275,9 @@ fn lane_certified_campaigns_match_scalar() {
 /// The fault-model column of the matrix: every generalized fault model is
 /// pinned decoded == legacy, both per-fault (full provenance records plus
 /// raw results over model-sampled batteries) and per-campaign (identical
-/// histograms under identical seeds). A lanes sub-column rides along:
-/// campaigns requesting lane batching under a non-default model take the
-/// scalar-fallback path and must still be bit-identical to an explicitly
-/// scalar campaign.
+/// histograms under identical seeds).
 #[test]
-fn generalized_fault_models_match_across_engines_and_lanes() {
+fn generalized_fault_models_match_across_engines() {
     let store = ArtifactStore::new();
     let w = AdpcmDec {
         samples: 60,
@@ -365,34 +316,83 @@ fn generalized_fault_models_match_across_engines_and_lanes() {
                 assert_eq!(j_res, l_res, "{label}: jit result diverged across engines");
             }
 
-            let cfg = |engine, lanes| CampaignConfig {
+            let cfg = |engine| CampaignConfig {
                 runs: 32,
                 seed: 11,
                 threads: 2,
-                lanes,
                 engine,
                 fault_model: model,
                 ..Default::default()
             };
-            let d = run_campaign(&w, technique, &cfg(ExecEngine::Decoded, 1));
-            let l = run_campaign(&w, technique, &cfg(ExecEngine::Legacy, 1));
+            let d = run_campaign(&w, technique, &cfg(ExecEngine::Decoded));
+            let l = run_campaign(&w, technique, &cfg(ExecEngine::Legacy));
             assert_eq!(
                 d.counts, l.counts,
                 "{label}: histogram diverged across engines"
             );
             assert_eq!(d.golden_instrs, l.golden_instrs, "{label}");
-            let j = run_campaign(&w, technique, &cfg(ExecEngine::Jit, 1));
+            let j = run_campaign(&w, technique, &cfg(ExecEngine::Jit));
             assert_eq!(
                 j.counts, l.counts,
                 "{label}: jit histogram diverged across engines"
             );
-            let laned = run_campaign(&w, technique, &cfg(ExecEngine::Decoded, 8));
-            assert_eq!(
-                laned.counts, d.counts,
-                "{label}: lane-requested campaign diverged from scalar"
-            );
         }
     }
+}
+
+/// Seeded per-fault fuzz over every generalized fault model at a short
+/// checkpoint interval: decoded, jit and legacy replay agree on full
+/// records and raw results, including faults drawn past the end of the
+/// run, which must classify unACE on every engine.
+fn fuzz_models_cell(w: &dyn Workload, technique: Technique, seed: u64) {
+    let store = ArtifactStore::new();
+    let artifact = store.get(w, technique, &Default::default(), &LowerConfig::default());
+    let decoded = Runner::with_decoded(
+        &artifact.program,
+        &engine_cfg(ExecEngine::Decoded, 7),
+        Some(Arc::clone(&artifact.decoded)),
+    );
+    let legacy = Runner::new(&artifact.program, &engine_cfg(ExecEngine::Legacy, 7));
+    let jit = Runner::with_images(
+        &artifact.program,
+        &engine_cfg(ExecEngine::Jit, 7),
+        Some(Arc::clone(&artifact.decoded)),
+        artifact.jit_for(ExecEngine::Jit),
+    );
+    let golden_len = legacy.golden().dyn_instrs;
+    let ctx = SampleCtx::for_program(&artifact.program, golden_len);
+    let mut rng = SmallRng::seed_from_u64(seed ^ golden_len);
+    let mut d_replayer = decoded.replayer();
+    let mut l_replayer = legacy.replayer();
+    let mut j_replayer = jit.replayer();
+    for model in FaultModel::ALL {
+        let label = format!("{}/{technique}/{model}", w.name());
+        for i in 0..10u64 {
+            let mut fault = model.sample(&mut rng, &ctx);
+            if i % 3 == 2 {
+                fault = GenFault::new(golden_len + 1 + i, fault.effect);
+            }
+            let (d_rec, d_res) = d_replayer.run_fault_record_gen(fault);
+            let (l_rec, l_res) = l_replayer.run_fault_record_gen(fault);
+            let (j_rec, j_res) = j_replayer.run_fault_record_gen(fault);
+            assert_eq!(d_rec, l_rec, "{label}: record diverged across engines");
+            assert_eq!(d_res, l_res, "{label}: result diverged across engines");
+            assert_eq!(j_rec, l_rec, "{label}: jit record diverged across engines");
+            assert_eq!(j_res, l_res, "{label}: jit result diverged across engines");
+        }
+    }
+}
+
+#[test]
+fn fuzzed_generalized_models_match_across_engines() {
+    let w = AdpcmDec {
+        samples: 80,
+        seed: 7,
+    };
+    fuzz_models_cell(&w, Technique::SwiftR, 0x90DE1);
+    fuzz_models_cell(&w, Technique::Cfcss, 0x90DE2);
+    let w2 = Mpeg2Enc { blocks: 2, seed: 1 };
+    fuzz_models_cell(&w2, Technique::Ceda, 0x90DE3);
 }
 
 /// Checkpointing stays an engine-independent pure optimization: decoded

@@ -1,10 +1,10 @@
 //! Seeded randomized-**program** fuzz for the native superblock JIT.
 //!
-//! The lanes fuzz (`lane_fuzz.rs`) randomizes *faults* over curated
-//! workloads; this fuzz randomizes the **program itself**: seeded modules
-//! drawn from the full builder surface — every [`AluOp`] at both widths
-//! (div/rem with guarded divisors, since a zero divisor is a machine
-//! fault), every [`CmpOp`] as both `cmp` and `fcmp`, selects,
+//! Where the differential matrix (`differential.rs`) injects seeded faults
+//! into curated workloads, this fuzz randomizes the **program itself**:
+//! seeded modules drawn from the full builder surface — every [`AluOp`] at
+//! both widths (div/rem with guarded divisors, since a zero divisor is a
+//! machine fault), every [`CmpOp`] as both `cmp` and `fcmp`, selects,
 //! zero/sign-extending loads and stores at every [`MemWidth`], float
 //! arithmetic including division, int↔float conversions, counted loops
 //! and data-dependent diamonds — then pins golden runs and seeded fault

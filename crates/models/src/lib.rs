@@ -1,7 +1,7 @@
 //! # sor-models — the pluggable fault-model subsystem
 //!
 //! The paper's experimental surface is §7.1's single-bit integer-register
-//! SEU. The infrastructure around it — decoded engine, SPMD lanes, ACE
+//! SEU. The infrastructure around it — decoded engine, native JIT, ACE
 //! certification, persistent store, server — is general enough to carry
 //! any transient fault model, and the related work (Azambuja et al.'s
 //! combined SEU/SET/control-flow evaluations, ZOFI's multi-model coverage

@@ -15,7 +15,7 @@
 //! `transient-alu`), `--engine decoded|jit` (execution engine;
 //! results are bit-identical, `jit` degrades to `decoded` off x86-64),
 //! `--workload W`, `--samples N`, `--runs N`,
-//! `--seed N`, `--sections N`, `--threads N`, `--lanes N`,
+//! `--seed N`, `--sections N`, `--threads N` (at most 256),
 //! `--workloads a,b,c` (campaign suite), `--pause-after N`.
 
 use sor_server::{Client, Json};
@@ -53,7 +53,6 @@ fn spec_from_args() -> String {
         ("--seed", "seed"),
         ("--sections", "sections"),
         ("--threads", "threads"),
-        ("--lanes", "lanes"),
         ("--pause-after", "pause_after"),
         ("--section-delay-ms", "section_delay_ms"),
     ] {

@@ -155,7 +155,6 @@ fn exec_certify(
     let workload = resolve_workload(&spec.workload, spec.samples, spec.wseed)?;
     let cfg = CertifyConfig {
         threads: spec.threads,
-        lanes: spec.lanes,
         sections: spec.sections,
         fault_model: spec.fault_model,
         engine: spec.engine,
@@ -226,7 +225,6 @@ fn exec_triage(
         runs: spec.runs,
         seed: spec.seed,
         threads: spec.threads,
-        lanes: spec.lanes,
         fault_model: spec.fault_model,
         engine: spec.engine,
         ..CampaignConfig::default()
@@ -295,7 +293,6 @@ fn exec_campaign(
         runs: spec.runs,
         seed: spec.seed,
         threads: spec.threads,
-        lanes: spec.lanes,
         fault_model: spec.fault_model,
         engine: spec.engine,
         ..CampaignConfig::default()

@@ -125,6 +125,10 @@ pub const MAX_SAMPLES: u64 = 10_000;
 /// one section per unit up front).
 pub const MAX_SECTIONS: u64 = 4_096;
 
+/// Largest `threads` a job may request (each worker thread owns a full
+/// machine arena, so a count near `runs` would spawn one arena per fault).
+pub const MAX_THREADS: u64 = 256;
+
 /// A validated job submission.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
@@ -156,8 +160,6 @@ pub struct JobSpec {
     pub sections: usize,
     /// Worker threads per injection pool (`0` = all cores).
     pub threads: usize,
-    /// SPMD lane width.
-    pub lanes: usize,
     /// Campaign workload suite (empty = the full ten-kernel suite).
     pub workloads: Vec<String>,
     /// Test hook: request a pause once this many sections/cells are
@@ -242,8 +244,7 @@ impl JobSpec {
             runs: bounded("runs", default_runs, MAX_RUNS)?,
             seed: u64_field("seed", 0x5EED)?,
             sections: bounded("sections", 8, MAX_SECTIONS)? as usize,
-            threads: u64_field("threads", 0)? as usize,
-            lanes: u64_field("lanes", 1)? as usize,
+            threads: bounded("threads", 0, MAX_THREADS)? as usize,
             workloads,
             pause_after,
             section_delay_ms: u64_field("section_delay_ms", 0)?,
@@ -354,7 +355,7 @@ impl Job {
              \"engine\": \"{}\", \
              \"workload\": \"{}\", \"samples\": {}, \
              \"wseed\": {}, \"runs\": {}, \"seed\": {}, \"sections\": {}, \
-             \"threads\": {}, \"lanes\": {}, \"workloads\": [{}], \
+             \"threads\": {}, \"workloads\": [{}], \
              \"pause_after\": {}, \"section_delay_ms\": {}, \
              \"progress\": {{\"done\": {}, \"total\": {}, \"hits\": {}, \
              \"fresh_injections\": {}, \"counts\": {}, \"sdc_pct\": {:.4}, \
@@ -373,7 +374,6 @@ impl Job {
             s.seed,
             s.sections,
             s.threads,
-            s.lanes,
             workloads.join(", "),
             pause,
             s.section_delay_ms,
@@ -575,7 +575,6 @@ mod tests {
             seed: 7,
             sections: 4,
             threads: 2,
-            lanes: 1,
             workloads: vec!["adpcmdec".to_string()],
             pause_after: Some(2),
             section_delay_ms: 0,
@@ -695,6 +694,7 @@ mod tests {
             ("runs", MAX_RUNS),
             ("samples", MAX_SAMPLES),
             ("sections", MAX_SECTIONS),
+            ("threads", MAX_THREADS),
         ] {
             let at = Json::parse(&format!(r#"{{"kind": "triage", "{field}": {max}}}"#)).unwrap();
             assert!(JobSpec::from_json(&at).is_ok(), "{field} = {max}");
@@ -714,11 +714,15 @@ mod tests {
             let mut big = spec(JobKind::Campaign);
             big.runs = MAX_RUNS + 1;
             reg.create(big);
+            let mut wide = spec(JobKind::Triage);
+            wide.threads = MAX_THREADS as usize + 1;
+            reg.create(wide);
             reg.persist();
         }
         let reg = Registry::load(&dir);
         assert!(reg.job(1).is_some(), "in-range job kept");
-        assert!(reg.job(2).is_none(), "over-limit job dropped");
+        assert!(reg.job(2).is_none(), "over-limit runs dropped");
+        assert!(reg.job(3).is_none(), "over-limit threads dropped");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -92,9 +92,9 @@ fn hostile_requests_get_structured_errors_and_the_server_survives() {
     assert_eq!(status_of(&r), 431, "{r}");
 
     // Invalid job JSON → 400 with the parser's message, not a panic. The
-    // oversized jobs would each make the worker allocate in proportion and
-    // abort the process; the legacy stepper is a test oracle, not an
-    // engine a job may select.
+    // oversized jobs would each make the worker allocate (or spawn) in
+    // proportion and abort the process; the legacy stepper is a test
+    // oracle, not an engine a job may select.
     for body in [
         "{",
         "[]",
@@ -103,6 +103,7 @@ fn hostile_requests_get_structured_errors_and_the_server_survives() {
         "{\"kind\": \"triage\", \"sections\": 1000000000000}",
         "{\"kind\": \"campaign\", \"runs\": 1000000000000}",
         "{\"kind\": \"certify\", \"samples\": 100000000000}",
+        "{\"kind\": \"certify\", \"threads\": 257}",
         "{\"kind\": \"certify\", \"engine\": \"legacy\"}",
     ] {
         let r = raw(

@@ -94,6 +94,48 @@ fn certify_job_bytes_match_the_batch_bin() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Bodies and persisted `jobs.json` records written by builds that still
+/// carried a `"lanes"` job field parse and load; the key is ignored, so
+/// the job's artifact is byte-identical to the same job without it.
+#[test]
+fn jobs_carrying_a_lanes_key_still_run_byte_identically() {
+    let dir = temp_dir("lanes-key");
+    let oracle = certify_oracle(4, 1, 2, Technique::SwiftR);
+    let body =
+        r#"{"kind": "certify", "technique": "swift-r", "samples": 4, "sections": 2, "threads": 2"#;
+
+    // A persisted queued job in the older registry format, `"lanes"` and
+    // all: loading re-enqueues it.
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(
+        dir.join("jobs.json"),
+        r#"{"next_id": 2, "jobs": [
+  {"id": 1, "kind": "certify", "state": "queued", "technique": "SWIFT-R", "fault_model": "seu-reg", "engine": "decoded", "workload": "adpcmdec", "samples": 4, "wseed": 1, "runs": 400, "seed": 24301, "sections": 2, "threads": 2, "lanes": 8, "workloads": [], "pause_after": null, "section_delay_ms": 0, "progress": {"done": 0, "total": 0, "hits": 0, "fresh_injections": 0, "counts": {"unace": 0, "sdc": 0, "segv": 0, "detected": 0, "hang": 0, "recoveries": 0}, "sdc_pct": 0.0000, "sdc_ci_lo": 0.0000, "sdc_ci_hi": 0.0000}, "artifact": null, "error": null, "cells": []}
+]}
+"#,
+    )
+    .unwrap();
+    let (handle, client) = spawn(&dir);
+    let loaded = client.wait(1, &["done"]).expect("persisted job runs");
+    assert!(
+        loaded.get("lanes").is_none(),
+        "the key is not carried forward"
+    );
+
+    let with = client
+        .submit(&format!(r#"{body}, "lanes": 8}}"#))
+        .expect("submit with lanes");
+    let without = client.submit(&format!("{body}}}")).expect("submit");
+    for id in [1, with, without] {
+        client.wait(id, &["done"]).expect("wait");
+        assert_eq!(client.result_bytes(id).expect("result"), oracle, "job {id}");
+    }
+
+    handle.shutdown();
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Two finished jobs whose artifacts share a name (same kind and
 /// technique, different workload seed) each keep serving their own bytes.
 #[test]

@@ -11,7 +11,7 @@
 //! and the result is truncated back. The equivalence with the twin-ladder
 //! semantics is pinned by the exhaustive op × width tests below.
 
-use sor_ir::{AluOp, CmpOp, FpOp, MemWidth, Width};
+use sor_ir::{AluOp, CmpOp, MemWidth, Width};
 
 /// Truncates `v` to the value bits of `width` (zero-extending register
 /// representation).
@@ -88,105 +88,6 @@ pub(crate) fn cmp_eval(op: CmpOp, width: Width, a: u64, b: u64) -> bool {
         CmpOp::LeU => a <= b,
         CmpOp::LtS => sext(width, a) < sext(width, b),
         CmpOp::LeS => sext(width, a) <= sext(width, b),
-    }
-}
-
-/// Lane-mapped ALU evaluation for the SPMD pack engine (see
-/// `crate::lanes`): evaluates one operation over `L` independent operand
-/// lanes, writing results into `dst` and returning a bitmask of lanes that
-/// took a division fault (those lanes' `dst` entries are left untouched).
-///
-/// The opcode match is hoisted *outside* the per-lane loops, so every
-/// non-division arm is a branch-free fixed-trip loop over `[u64; L]`
-/// arrays — exactly the shape the auto-vectorizer turns into SIMD without
-/// any `unsafe`. Semantics per lane are pinned to [`alu_eval`] by the
-/// equivalence test below.
-///
-/// `inline(always)`: called once per burned micro-op from the lane
-/// engine's hot loop. Out-of-line, every op would pay a call plus a
-/// stack round-trip of three `[u64; L]` operand rows, which costs several
-/// times more than the vectorized arithmetic itself; inlined, the rows
-/// flow register-file-to-register-file.
-#[inline(always)]
-pub(crate) fn alu_lanes<const L: usize>(
-    op: AluOp,
-    width: Width,
-    a: &[u64; L],
-    b: &[u64; L],
-    dst: &mut [u64; L],
-) -> u32 {
-    macro_rules! map {
-        (|$x:ident, $y:ident| $e:expr) => {{
-            for i in 0..L {
-                let ($x, $y) = (trunc(width, a[i]), trunc(width, b[i]));
-                dst[i] = trunc(width, $e);
-            }
-            0
-        }};
-    }
-    match op {
-        AluOp::Add => map!(|x, y| x.wrapping_add(y)),
-        AluOp::Sub => map!(|x, y| x.wrapping_sub(y)),
-        AluOp::Mul => map!(|x, y| x.wrapping_mul(y)),
-        AluOp::And => map!(|x, y| x & y),
-        AluOp::Or => map!(|x, y| x | y),
-        AluOp::Xor => map!(|x, y| x ^ y),
-        AluOp::Shl => map!(|x, y| x.wrapping_shl((y % width.bits() as u64) as u32)),
-        AluOp::ShrL => map!(|x, y| x.wrapping_shr((y % width.bits() as u64) as u32)),
-        AluOp::ShrA => {
-            map!(|x, y| sext(width, x).wrapping_shr((y % width.bits() as u64) as u32) as u64)
-        }
-        // Division faults per lane; delegate to the scalar evaluator (the
-        // div hardware is not worth vectorizing anyway).
-        AluOp::DivU | AluOp::DivS | AluOp::RemU | AluOp::RemS => {
-            let mut faults = 0u32;
-            for i in 0..L {
-                match alu_eval(op, width, a[i], b[i]) {
-                    Some(r) => dst[i] = r,
-                    None => faults |= 1 << i,
-                }
-            }
-            faults
-        }
-    }
-}
-
-/// Lane-mapped integer compare: [`cmp_eval`] over `L` lanes, results as
-/// 0/1 register values. Same hoisted-opcode shape (and same
-/// `inline(always)` rationale) as [`alu_lanes`].
-#[inline(always)]
-pub(crate) fn cmp_lanes<const L: usize>(
-    op: CmpOp,
-    width: Width,
-    a: &[u64; L],
-    b: &[u64; L],
-    dst: &mut [u64; L],
-) {
-    macro_rules! map {
-        (|$x:ident, $y:ident| $e:expr) => {
-            for i in 0..L {
-                let ($x, $y) = (trunc(width, a[i]), trunc(width, b[i]));
-                dst[i] = $e as u64;
-            }
-        };
-    }
-    match op {
-        CmpOp::Eq => map!(|x, y| x == y),
-        CmpOp::Ne => map!(|x, y| x != y),
-        CmpOp::LtU => map!(|x, y| x < y),
-        CmpOp::LeU => map!(|x, y| x <= y),
-        CmpOp::LtS => map!(|x, y| sext(width, x) < sext(width, y)),
-        CmpOp::LeS => map!(|x, y| sext(width, x) <= sext(width, y)),
-    }
-}
-
-/// Lane-mapped floating-point op. `FpOp::eval` is loop-invariant on `op`,
-/// so the dispatch hoists and each arm reduces to a fixed-trip `f64` loop.
-/// Same `inline(always)` rationale as [`alu_lanes`].
-#[inline(always)]
-pub(crate) fn fpu_lanes<const L: usize>(op: FpOp, a: &[f64; L], b: &[f64; L], dst: &mut [f64; L]) {
-    for i in 0..L {
-        dst[i] = op.eval(a[i], b[i]);
     }
 }
 
@@ -389,92 +290,6 @@ mod tests {
             Some(min32)
         );
         assert_eq!(alu_eval(AluOp::RemS, Width::W32, min32, minus_one), Some(0));
-    }
-
-    /// The lane ladders are pinned lane-for-lane to the scalar evaluators:
-    /// pack lane `i` must see exactly what a scalar machine computing the
-    /// same operands would, including per-lane division faults.
-    #[test]
-    fn lane_ladders_match_scalar_evaluation_per_lane() {
-        // Tile the grid into groups of 4 so every value pairs with several
-        // neighbours across lane positions.
-        let chunks: Vec<[u64; 4]> = GRID.windows(4).map(|w| [w[0], w[1], w[2], w[3]]).collect();
-        for op in AluOp::ALL {
-            for width in [Width::W32, Width::W64] {
-                for a in &chunks {
-                    for b in &chunks {
-                        let mut dst = [0u64; 4];
-                        let faults = alu_lanes(op, width, a, b, &mut dst);
-                        for i in 0..4 {
-                            match alu_eval(op, width, a[i], b[i]) {
-                                Some(r) => {
-                                    assert_eq!(faults & (1 << i), 0, "{op:?} lane {i}");
-                                    assert_eq!(dst[i], r, "{op:?} {width} lane {i}");
-                                }
-                                None => {
-                                    assert_ne!(faults & (1 << i), 0, "{op:?} lane {i}")
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        for op in CmpOp::ALL {
-            for width in [Width::W32, Width::W64] {
-                for a in &chunks {
-                    for b in &chunks {
-                        let mut dst = [0u64; 4];
-                        cmp_lanes(op, width, a, b, &mut dst);
-                        for i in 0..4 {
-                            assert_eq!(
-                                dst[i],
-                                cmp_eval(op, width, a[i], b[i]) as u64,
-                                "{op:?} {width} lane {i}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Float lanes, including NaN/inf propagation and divide-by-zero,
-    /// match `FpOp::eval` bit-for-bit.
-    #[test]
-    fn fpu_lanes_match_scalar_eval_bitwise() {
-        let vals = [
-            0.0,
-            -0.0,
-            1.5,
-            -3.25,
-            f64::INFINITY,
-            f64::NAN,
-            1e-300,
-            1e300,
-        ];
-        for op in [FpOp::Add, FpOp::Sub, FpOp::Mul, FpOp::Div] {
-            for a0 in vals {
-                for b0 in vals {
-                    // black_box forces both sides through the FPU at run
-                    // time: const-folding would embed Rust's canonical
-                    // (positive) quiet NaN where the hardware produces its
-                    // own default, and the engines only ever compare
-                    // runtime values.
-                    let a = std::hint::black_box([a0, b0, -a0, a0 + b0]);
-                    let b = std::hint::black_box([b0, a0, b0, a0 - b0]);
-                    let mut dst = [0.0f64; 4];
-                    fpu_lanes(op, &a, &b, &mut dst);
-                    for i in 0..4 {
-                        assert_eq!(
-                            dst[i].to_bits(),
-                            op.eval(a[i], b[i]).to_bits(),
-                            "{op:?} lane {i}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -596,10 +596,9 @@ impl Machine<'_> {
     }
 }
 
-/// Applies one probe event to the counters; shared with the lane engine so
-/// probe accounting cannot drift between the scalar and pack paths.
+/// Applies one probe event to the counters.
 #[inline]
-pub(crate) fn bump_probe(p: &mut ProbeCounts, e: ProbeEvent) {
+fn bump_probe(p: &mut ProbeCounts, e: ProbeEvent) {
     match e {
         ProbeEvent::VoteRepair => p.vote_repairs += 1,
         ProbeEvent::TrumpRecover => p.trump_recovers += 1,

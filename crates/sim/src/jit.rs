@@ -269,11 +269,17 @@ struct Layout {
     global_pages: i32,
 }
 
-// SAFETY: the buffer is immutable after construction and the entry table
-// is plain data; `run_from` takes `&self` and only the caller's `Machine`
-// is mutated.
+// SAFETY: `entry` (a boxed slice) and `global_len` are owned plain data.
+// `buf` owns its mapping outright: `ptr`/`len` name memory tied to no
+// thread, and `Drop` unmaps it exactly once, on whichever thread drops
+// the value; `used` is a plain count.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 unsafe impl Send for JitProg {}
+// SAFETY: no field is written after construction. `buf`'s mapping is
+// read-execute from then on, its `ptr`/`len`/`used` never change, and
+// `entry`/`global_len` are immutable plain data. `run_from` takes `&self`
+// and mutates only the caller's own `Machine` (through a per-call
+// `JitCtx`), so concurrent calls only read the code and the table.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 unsafe impl Sync for JitProg {}
 
@@ -298,6 +304,10 @@ impl ExecBuf {
             .max(1)
             .next_multiple_of(crate::mem::PAGE_SIZE as usize);
         // mmap(NULL, len, RW, MAP_PRIVATE|MAP_ANONYMOUS, -1, 0)
+        // SAFETY: an anonymous private mapping at a kernel-chosen address
+        // (addr 0, fd -1) cannot alias or replace any existing memory; the
+        // arguments are plain integers and failure is reported as a
+        // negative errno, checked below.
         let ret = unsafe {
             syscall(
                 9,
@@ -318,6 +328,10 @@ impl ExecBuf {
         let ptr = ret as *mut u8;
         // SAFETY: the fresh RW mapping is at least `code.len()` bytes.
         unsafe { std::ptr::copy_nonoverlapping(code.as_ptr(), ptr, code.len()) };
+        // mprotect(ptr, len, RX)
+        // SAFETY: `ptr..ptr + len` is exactly the mapping created above,
+        // which nothing else references; dropping write access cannot
+        // invalidate any live Rust reference.
         let ret = unsafe {
             syscall(
                 10,
@@ -330,6 +344,9 @@ impl ExecBuf {
             )
         };
         if ret != 0 {
+            // munmap(ptr, len)
+            // SAFETY: `ptr..ptr + len` is the mapping created above; no
+            // `ExecBuf` owns it yet, so this is its only release.
             unsafe { syscall(11, ptr as i64, len as i64, 0, 0, 0, 0) };
             return Err(JitError::Sys {
                 call: "mprotect",
@@ -347,12 +364,23 @@ impl ExecBuf {
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 impl Drop for ExecBuf {
     fn drop(&mut self) {
-        // SAFETY: munmap of our own private mapping.
+        // SAFETY: munmap of the private mapping this `ExecBuf` owns
+        // exclusively; `Drop` runs once, and no code pointer into the
+        // buffer outlives the owning `JitProg`.
         unsafe { syscall(11, self.ptr as i64, self.len as i64, 0, 0, 0, 0) };
     }
 }
 
 /// Raw Linux syscall (x86-64 ABI: rax=nr, args in rdi/rsi/rdx/r10/r8/r9).
+///
+/// # Safety
+///
+/// The caller must pass a syscall number and arguments whose effect the
+/// kernel applies without breaking Rust's memory model: this crate only
+/// issues `mmap` of fresh anonymous memory, and `mprotect` / `munmap` of
+/// a mapping it created and that no live reference points into. The
+/// instruction itself clobbers only `rax`, `rcx` and `r11`, which the
+/// `asm!` block declares.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 unsafe fn syscall(nr: i64, a1: i64, a2: i64, a3: i64, a4: i64, a5: i64, a6: i64) -> i64 {
     let ret;

@@ -17,7 +17,7 @@
 //!   one integer register before one dynamic instruction (never the stack
 //!   pointer — the paper excluded SP and TOC). It converts losslessly into
 //!   the `RegXor { mask: 1 << bit }` [`GenFault`] it injects as, and is
-//!   what the SEU sampler draws and SPMD lane groups carry.
+//!   what the SEU sampler draws.
 //! * [`DecodedProg`] / [`ExecEngine`] — the predecoded micro-op engine:
 //!   programs are translated once into fully-resolved micro-ops grouped
 //!   into straight-line superblocks, and the hot loop becomes a dense
@@ -33,16 +33,6 @@
 //!   span edges exactly as the decoded engine does and every observable
 //!   stays bit-identical. Falls back to the decoded interpreter (with a
 //!   one-time warning) on targets the emitter does not cover.
-//! * [`LaneReplayer`] — lane-parallel SPMD fault batching: up to 16
-//!   injections of one decoded program execute in lockstep over
-//!   struct-of-arrays register state, sharing decode/dispatch/observation
-//!   cost and auto-vectorizing the ALU ladders. A lane whose control flow
-//!   (or memory behaviour) diverges from the pack is evicted to the scalar
-//!   engine *before* the divergent operation commits, so results stay
-//!   bit-identical to [`Replayer`]; register-only vote-repair hammocks
-//!   reconverge in-pack with per-lane retirement skew instead of evicting
-//!   (see `lanes.rs` module docs for the soundness argument and the
-//!   pre-lowered opstream / memory / target-feature fast paths).
 //! * [`Timing`] — an in-order, issue-width-limited scoreboard with an L1-D
 //!   cache model. It reproduces the two effects the paper's performance
 //!   numbers hinge on: spare ILP absorbing independent redundant
@@ -56,6 +46,8 @@
 //!   deterministic prefix — bit-exact with from-scratch execution, and
 //!   roughly halving the architectural work per injection on average.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 mod alu;
 mod cache;
 mod checkpoint;
@@ -63,7 +55,6 @@ mod decode;
 mod exec;
 mod fault;
 mod jit;
-mod lanes;
 mod machine;
 mod mem;
 mod outcome;
@@ -76,7 +67,6 @@ pub use checkpoint::{Checkpoint, CheckpointStore};
 pub use decode::DecodedProg;
 pub use fault::{FaultEffect, FaultSpec, GenFault, INJECTABLE_REGS};
 pub use jit::{JitError, JitProg};
-pub use lanes::LaneReplayer;
 pub use machine::{ExecEngine, Machine, MachineConfig, ProbeCounts, RunResult, RunStatus};
 pub use mem::{MemError, Memory, PageSnapshot, PAGE_SIZE};
 pub use outcome::{classify, Outcome};

@@ -530,18 +530,6 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// Prepares this machine to replay a fault armed for dynamic slot `at`:
-    /// restores the last checkpoint of `prefix` when one covers the slot,
-    /// otherwise resets to instruction 0. Shared by the scalar
-    /// [`crate::Replayer`] and the lane engine, which must agree exactly on
-    /// the replay starting state.
-    pub(crate) fn prepare_replay(&mut self, prefix: Option<&[Checkpoint]>, golden_output: &[u64]) {
-        match prefix {
-            Some(p) => self.restore(p, golden_output),
-            None => self.reset(),
-        }
-    }
-
     /// Runs the fault-free golden execution, capturing a checkpoint every
     /// `interval` dynamic instructions (including one at instruction 0).
     /// Requires [`Machine::enable_reuse`]; the timing model must be off.

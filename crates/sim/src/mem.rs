@@ -35,18 +35,6 @@ pub const PAGE_SIZE: u64 = 4096;
 /// delta between two checkpoints of the golden run. Applying a sequence of
 /// snapshots in capture order onto a pristine memory reconstructs the
 /// memory state at the final capture point exactly.
-/// A pre-translated memory access: segment selector, byte offset, and
-/// the page span to dirty on writes. Produced by [`Memory::resolve`] and
-/// valid for any layout-identical [`Memory`] (see the lane engine's
-/// uniform-address fast path).
-#[derive(Clone, Copy)]
-pub(crate) struct Resolved {
-    global: bool,
-    off: u32,
-    page: u32,
-    page_last: u32,
-}
-
 #[derive(Debug, Clone, Default)]
 pub struct PageSnapshot {
     /// `(page index, page bytes)` pairs, where the page index counts global
@@ -244,23 +232,6 @@ impl Memory {
         }
     }
 
-    /// Whether a `len`-byte access at `addr` lands entirely inside a mapped
-    /// segment, without performing it. Mirrors [`Memory::slot`] exactly —
-    /// the lane engine (`crate::lanes`) uses it to pre-flight stores so a
-    /// lane that would fault can be evicted *before* any lane commits
-    /// state.
-    #[inline]
-    pub(crate) fn in_bounds(&self, addr: u64, len: u64) -> bool {
-        match addr.checked_add(len) {
-            None => false,
-            Some(end) => {
-                (addr >= layout::GLOBAL_BASE
-                    && end <= layout::GLOBAL_BASE + self.global.len() as u64)
-                    || (addr >= layout::STACK_BASE && end <= layout::STACK_TOP)
-            }
-        }
-    }
-
     #[inline]
     fn slot(&mut self, addr: u64, len: u64) -> Result<&mut [u8], MemError> {
         let end = addr.checked_add(len).ok_or(MemError { addr })?;
@@ -275,83 +246,11 @@ impl Memory {
         }
     }
 
-    /// Translates a `len`-byte access once into segment + offset + dirty
-    /// page span, or `None` when any byte falls outside a mapped segment.
-    ///
-    /// The lane engine uses this for its uniform-address fast path: when
-    /// every lane of a pack computes the same address (true of all
-    /// register spills — the stack pointer is never fault-injected — and
-    /// of most global traffic), translation, bounds checks and page
-    /// arithmetic happen once, and each lane's layout-identical memory is
-    /// then accessed through [`Memory::read_resolved`] /
-    /// [`Memory::write_resolved`] with no per-lane validation.
-    #[inline]
-    pub(crate) fn resolve(&self, addr: u64, len: u64) -> Option<Resolved> {
-        let end = addr.checked_add(len)?;
-        let (global, off) = if addr >= layout::GLOBAL_BASE
-            && end <= layout::GLOBAL_BASE + self.global.len() as u64
-        {
-            (true, addr - layout::GLOBAL_BASE)
-        } else if addr >= layout::STACK_BASE && end <= layout::STACK_TOP {
-            (false, addr - layout::STACK_BASE)
-        } else {
-            return None;
-        };
-        Some(Resolved {
-            global,
-            off: off as u32,
-            page: self.page_of(addr),
-            page_last: self.page_of(addr + len - 1),
-        })
-    }
-
-    /// Reads through a [`Memory::resolve`]d location. The resolution must
-    /// come from a layout-identical memory (same segment sizes), which
-    /// holds for every machine of a lane pack.
-    #[inline]
-    pub(crate) fn read_resolved(&self, r: Resolved, len: u64) -> u64 {
-        let buf = if r.global { &self.global } else { &self.stack };
-        let off = r.off as usize;
-        match len {
-            1 => buf[off] as u64,
-            2 => u16::from_le_bytes(buf[off..off + 2].try_into().unwrap()) as u64,
-            4 => u32::from_le_bytes(buf[off..off + 4].try_into().unwrap()) as u64,
-            _ => u64::from_le_bytes(buf[off..off + 8].try_into().unwrap()),
-        }
-    }
-
-    /// Writes through a [`Memory::resolve`]d location, maintaining the
-    /// dirty-page set from the pre-computed page span.
-    #[inline]
-    pub(crate) fn write_resolved(&mut self, r: Resolved, len: u64, value: u64) {
-        let buf = if r.global {
-            &mut self.global
-        } else {
-            &mut self.stack
-        };
-        let off = r.off as usize;
-        let le = value.to_le_bytes();
-        match len {
-            1 => buf[off] = le[0],
-            2 => buf[off..off + 2].copy_from_slice(&le[..2]),
-            4 => buf[off..off + 4].copy_from_slice(&le[..4]),
-            _ => buf[off..off + 8].copy_from_slice(&le[..8]),
-        }
-        if self.tracking {
-            for p in r.page..=r.page_last {
-                self.dirty[p as usize / 64] |= 1u64 << (p % 64);
-            }
-        }
-    }
-
     /// Reads `len` (1/2/4/8) bytes little-endian.
     ///
     /// The access widths are dispatched to fixed-size loads: a
     /// runtime-length `copy_from_slice` compiles to an out-of-line memcpy
-    /// call, which dominated interpreter memory-op cost — the SPMD lane
-    /// engine pays it once per lane per op, so it is the difference
-    /// between lane batching amortizing memory ops and being bound by
-    /// them.
+    /// call, which dominated interpreter memory-op cost.
     ///
     /// # Errors
     ///
@@ -495,32 +394,5 @@ mod tests {
         let mut m = Memory::new(4096, &[]);
         assert!(m.write(layout::GLOBAL_BASE + 4095, 8, 1).is_err());
         assert!(m.write(layout::STACK_TOP - 4, 8, 1).is_err());
-    }
-
-    /// `in_bounds` agrees with `slot` on every interesting boundary —
-    /// the invariant the lane engine's store pre-flight rests on.
-    #[test]
-    fn in_bounds_mirrors_slot_validity() {
-        let mut m = Memory::new(4096, &[]);
-        let probes = [
-            (0u64, 8u64),
-            (8, 1),
-            (layout::GLOBAL_BASE, 8),
-            (layout::GLOBAL_BASE + 4088, 8),
-            (layout::GLOBAL_BASE + 4095, 8),
-            (layout::GLOBAL_BASE - 1, 1),
-            (layout::STACK_BASE, 8),
-            (layout::STACK_TOP - 8, 8),
-            (layout::STACK_TOP - 4, 8),
-            (layout::STACK_TOP, 1),
-            (u64::MAX - 3, 8),
-        ];
-        for (addr, len) in probes {
-            assert_eq!(
-                m.in_bounds(addr, len),
-                m.slot(addr, len).is_ok(),
-                "addr={addr:#x} len={len}"
-            );
-        }
     }
 }

@@ -289,20 +289,6 @@ impl<'p> Runner<'p> {
     pub fn run_fault(&self, fault: impl Into<GenFault>) -> (Outcome, RunResult) {
         self.replayer().run_fault(fault)
     }
-
-    /// Creates a lane-parallel fault-run executor that runs up to `lanes`
-    /// injections in SPMD lockstep over this runner's decoded image (see
-    /// [`crate::LaneReplayer`]). The width rounds down to the supported
-    /// pack widths {2, 4, 8, 16}; `lanes < 2` still builds a 2-wide pack
-    /// (singleton groups degrade to the scalar engine internally).
-    ///
-    /// # Panics
-    ///
-    /// Panics when this runner uses the legacy engine — lane execution is a
-    /// decoded-engine mode.
-    pub fn lane_replayer(&self, lanes: usize) -> crate::lanes::LaneReplayer<'_, 'p> {
-        crate::lanes::LaneReplayer::new(self, lanes)
-    }
 }
 
 /// A reusable fault-run executor: one machine arena, many injected runs.
@@ -322,9 +308,10 @@ impl Replayer<'_, '_> {
     /// paths return results bit-identical to a fresh from-scratch run.
     pub fn run_fault(&mut self, fault: impl Into<GenFault>) -> (Outcome, RunResult) {
         let fault = fault.into();
-        let prefix = self.runner.ckpts.prefix_for(fault.at_instr);
-        self.machine
-            .prepare_replay(prefix, &self.runner.golden.output);
+        match self.runner.ckpts.prefix_for(fault.at_instr) {
+            Some(prefix) => self.machine.restore(prefix, &self.runner.golden.output),
+            None => self.machine.reset(),
+        }
         let result = self.machine.run_mut(Some(fault));
         (classify(&self.runner.golden, &result), result)
     }
