@@ -10,7 +10,7 @@
 //! byte-identical to batch output.
 
 use crate::jobs::{JobKind, JobSpec, JobState, Progress};
-use crate::server::ServerState;
+use crate::server::{recover, ServerState};
 use sor_core::Technique;
 use sor_harness::{
     certified_json_model, certify_resumable, run_campaign_in, run_triaged_campaign_resumable,
@@ -53,7 +53,7 @@ fn resolve_workload(name: &str, samples: u64, wseed: u64) -> Result<Box<dyn Work
 /// dies with a job.
 pub fn run_job(state: &ServerState, id: u64) {
     let Some((spec, ctrl)) = ({
-        let mut reg = state.registry.lock().unwrap();
+        let mut reg = recover(state.registry.lock());
         let job = reg.job_mut(id);
         let out = job.map(|job| {
             job.state = JobState::Running;
@@ -72,7 +72,7 @@ pub fn run_job(state: &ServerState, id: u64) {
     let written = match &result {
         Ok(Ok(Outcome::Done { name, bytes })) => {
             let path = {
-                let reg = state.registry.lock().unwrap();
+                let reg = recover(state.registry.lock());
                 reg.artifact_path(id, name)
             };
             Some(std::fs::write(&path, bytes).map(|()| name.clone()))
@@ -80,7 +80,7 @@ pub fn run_job(state: &ServerState, id: u64) {
         _ => None,
     };
 
-    let mut reg = state.registry.lock().unwrap();
+    let mut reg = recover(state.registry.lock());
     let Some(job) = reg.job_mut(id) else { return };
     match result {
         Ok(Ok(Outcome::Done { .. })) => match written {
@@ -135,7 +135,7 @@ fn report(state: &ServerState, id: u64, spec: &JobSpec, ctrl: &RunCtrl, progress
         ctrl.request_stop();
     }
     {
-        let mut reg = state.registry.lock().unwrap();
+        let mut reg = recover(state.registry.lock());
         if let Some(job) = reg.job_mut(id) {
             job.progress = progress;
         }
@@ -303,7 +303,7 @@ fn exec_campaign(
     // kind's resume grain: workload-major order is deterministic, so a
     // persisted prefix is always consistent with the suite.
     let mut cells: Vec<CampaignResult> = {
-        let reg = state.registry.lock().unwrap();
+        let reg = recover(state.registry.lock());
         reg.job(id).map(|j| j.cells.clone()).unwrap_or_default()
     };
     let restored = cells.len() as u64;
@@ -317,7 +317,7 @@ fn exec_campaign(
         let t = techniques[i % techniques.len()];
         let cell = run_campaign_in(&state.artifacts, w.as_ref(), t, &cfg);
         {
-            let mut reg = state.registry.lock().unwrap();
+            let mut reg = recover(state.registry.lock());
             if let Some(job) = reg.job_mut(id) {
                 job.cells.push(cell.clone());
             }

@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 /// Server construction parameters.
@@ -63,9 +63,19 @@ pub struct ServerState {
     shutting_down: AtomicBool,
 }
 
+/// Unwraps a lock or condvar-wait result, recovering the guard when a
+/// thread panicked while holding the mutex. Every update under the
+/// registry and queue mutexes is a field assignment, an insertion or a
+/// push, so the data is valid at every step and a panicking holder
+/// leaves a usable registry; refusing the poisoned mutex instead would
+/// fail every later request of the server.
+pub(crate) fn recover<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
+
 impl ServerState {
     fn enqueue(&self, id: u64) {
-        self.queue.lock().unwrap().push_back(id);
+        recover(self.queue.lock()).push_back(id);
         self.wake.notify_all();
     }
 
@@ -104,14 +114,14 @@ impl Server {
             shutting_down: AtomicBool::new(false),
         });
         {
-            let reg = state.registry.lock().unwrap();
+            let reg = recover(state.registry.lock());
             let queued: Vec<u64> = reg
                 .iter()
                 .filter(|j| j.state == JobState::Queued)
                 .map(|j| j.id)
                 .collect();
             drop(reg);
-            state.queue.lock().unwrap().extend(queued);
+            recover(state.queue.lock()).extend(queued);
         }
         let workers = (0..cfg.workers.max(1))
             .map(|_| {
@@ -161,7 +171,7 @@ impl ServerHandle {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        self.state.registry.lock().unwrap().persist();
+        recover(self.state.registry.lock()).persist();
         self.state.results.flush();
     }
 }
@@ -173,7 +183,7 @@ fn initiate_shutdown(state: &ServerState, addr: SocketAddr) {
         return;
     }
     {
-        let reg = state.registry.lock().unwrap();
+        let reg = recover(state.registry.lock());
         for job in reg.iter() {
             if job.state == JobState::Running {
                 job.ctrl.request_stop();
@@ -189,7 +199,7 @@ fn initiate_shutdown(state: &ServerState, addr: SocketAddr) {
 fn worker_loop(state: &Arc<ServerState>) {
     loop {
         let id = {
-            let mut q = state.queue.lock().unwrap();
+            let mut q = recover(state.queue.lock());
             loop {
                 if state.shutting_down() {
                     return;
@@ -197,13 +207,13 @@ fn worker_loop(state: &Arc<ServerState>) {
                 if let Some(id) = q.pop_front() {
                     break id;
                 }
-                q = state.wake.wait(q).unwrap();
+                q = recover(state.wake.wait(q));
             }
         };
         // A job can be paused (or deleted by a future API) between
         // enqueue and pop; only queued jobs run.
         let runnable = {
-            let reg = state.registry.lock().unwrap();
+            let reg = recover(state.registry.lock());
             reg.job(id).map(|j| j.state) == Some(JobState::Queued)
         };
         if runnable {
@@ -236,7 +246,7 @@ fn route(state: &Arc<ServerState>, stream: &mut TcpStream, req: &Request) {
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     match (req.method.as_str(), segments.as_slice()) {
         ("GET", ["health"]) => {
-            let jobs = state.registry.lock().unwrap().iter().count();
+            let jobs = recover(state.registry.lock()).iter().count();
             let body = format!(
                 "{{\"status\": \"ok\", \"jobs\": {jobs}, \"store\": {{\"hits\": {}, \
                  \"misses\": {}, \"warnings\": {}}}}}\n",
@@ -248,7 +258,7 @@ fn route(state: &Arc<ServerState>, stream: &mut TcpStream, req: &Request) {
         }
         ("POST", ["jobs"]) => post_job(state, stream, req),
         ("GET", ["jobs"]) => {
-            let reg = state.registry.lock().unwrap();
+            let reg = recover(state.registry.lock());
             let rows: Vec<String> = reg.iter().map(|j| format!("  {}", j.to_json())).collect();
             drop(reg);
             let body = format!("{{\"jobs\": [\n{}\n]}}\n", rows.join(",\n"));
@@ -256,7 +266,7 @@ fn route(state: &Arc<ServerState>, stream: &mut TcpStream, req: &Request) {
         }
         ("GET", ["jobs", id]) => match parse_id(id) {
             Some(id) => {
-                let body = state.registry.lock().unwrap().job(id).map(|j| j.to_json());
+                let body = recover(state.registry.lock()).job(id).map(|j| j.to_json());
                 match body {
                     Some(json) => http::respond(stream, 200, "OK", &format!("{json}\n")),
                     None => respond_missing(stream, id),
@@ -346,7 +356,7 @@ fn post_job(state: &Arc<ServerState>, stream: &mut TcpStream, req: &Request) {
         .and_then(|doc| JobSpec::from_json(&doc));
     match parsed {
         Ok(spec) => {
-            let id = state.registry.lock().unwrap().create(spec);
+            let id = recover(state.registry.lock()).create(spec);
             state.enqueue(id);
             http::respond(
                 stream,
@@ -366,7 +376,7 @@ fn post_job(state: &Arc<ServerState>, stream: &mut TcpStream, req: &Request) {
 
 fn job_result(state: &Arc<ServerState>, stream: &mut TcpStream, id: u64) {
     let located = {
-        let reg = state.registry.lock().unwrap();
+        let reg = recover(state.registry.lock());
         reg.job(id).map(|job| {
             (job.state == JobState::Done)
                 .then(|| job.artifact.clone())
@@ -399,7 +409,7 @@ fn job_result(state: &Arc<ServerState>, stream: &mut TcpStream, id: u64) {
 }
 
 fn pause_job(state: &Arc<ServerState>, stream: &mut TcpStream, id: u64) {
-    let mut reg = state.registry.lock().unwrap();
+    let mut reg = recover(state.registry.lock());
     let Some(job) = reg.job_mut(id) else {
         drop(reg);
         respond_missing(stream, id);
@@ -452,7 +462,7 @@ fn resume_job(state: &Arc<ServerState>, stream: &mut TcpStream, id: u64) {
         return;
     }
     let resumed = {
-        let mut reg = state.registry.lock().unwrap();
+        let mut reg = recover(state.registry.lock());
         match reg.job_mut(id) {
             None => None,
             Some(job) if job.state == JobState::Paused => {
@@ -484,5 +494,47 @@ fn resume_job(state: &Arc<ServerState>, stream: &mut TcpStream, id: u64) {
                 &format!("job {id} is {}, not paused", other.as_str()),
             ),
         ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+
+    /// A panic while the registry mutex is held poisons it; later
+    /// requests, the workers and shutdown still go through.
+    #[test]
+    fn requests_survive_a_poisoned_registry() {
+        let dir = std::env::temp_dir().join(format!("sor-server-poison-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let handle = Server::spawn(ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            dir: dir.clone(),
+            workers: 1,
+        })
+        .expect("spawn");
+        let state = Arc::clone(handle.state());
+        let panicked = std::thread::spawn(move || {
+            let _guard = state.registry.lock().unwrap();
+            panic!("deliberate panic under the registry lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(handle.state().registry.is_poisoned());
+
+        let client = Client::new(handle.addr().to_string());
+        let health = client.health().expect("health answers");
+        assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
+        let id = client
+            .submit(r#"{"kind": "certify", "technique": "swift-r", "samples": 4}"#)
+            .expect("submit answers");
+        let job = client.wait(id, &["done"]).expect("job status answers");
+        assert_eq!(job.get("state").and_then(Json::as_str), Some("done"));
+        client.result_bytes(id).expect("result answers");
+
+        handle.shutdown();
+        handle.join();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -26,6 +26,13 @@
 //! participates in restore) bit-identical. Probes encountered *inside* a
 //! span are executed for free, exactly like the legacy path; a superblock
 //! effectively splits at any slot an observer is due.
+//!
+//! # Dead-flip early exit
+//!
+//! Fault runs from a `Replayer` may stop right after a register flip
+//! that provably cannot be read: a register the program never names, or
+//! one the bounded clobber watch sees overwritten first. The replayer
+//! then reports the golden run's result (DESIGN.md §11).
 
 use crate::decode::{DArg, DLoc, DecodedProg, Ext, Src, UOp};
 use crate::fault::{FaultEffect, GenFault};
@@ -43,10 +50,48 @@ enum SpanExit {
     Done(RunStatus),
 }
 
+/// Why a fault run stopped before the program ended: the injected flip
+/// is provably dead, so the rest of the run is the golden run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum DeadFlip {
+    /// A `RegXor` hit a register no instruction names.
+    UnnamedReg,
+    /// The flipped register was overwritten before anything read it.
+    Clobbered,
+    /// An `AluXor` latched nothing: the slot's instruction was not an ALU
+    /// op, or the mask truncated to zero at its width.
+    Unlatched,
+}
+
+/// Counted instructions the clobber watch single-steps after a register
+/// flip before handing the run back to the span loop. Chosen by
+/// measurement (EXPERIMENTS.md E16); deliberately not configurable.
+const WATCH_BUDGET: u32 = 256;
+
+/// How [`Machine::watch_flip`] ended.
+enum Watch {
+    /// The flipped register was written before being read.
+    Clobbered,
+    /// The flipped register is read next, or the budget ran out.
+    Live,
+    /// The program terminated inside the window.
+    Done(RunStatus),
+}
+
 impl Machine<'_> {
     /// Decoded-engine counterpart of the [`Machine::run_mut`] loop,
     /// pinned bit-identical to it for every [`FaultEffect`].
-    pub(crate) fn run_decoded(&mut self, d: &DecodedProg, fault: Option<GenFault>) -> RunResult {
+    ///
+    /// With `stop_dead`, a register fault run stops with the [`DeadFlip`]
+    /// reason as soon as the flip is provably dead; the caller then owes
+    /// the golden run's result (see `Replayer::run_fault`). Without it,
+    /// every run goes to completion.
+    pub(crate) fn run_decoded(
+        &mut self,
+        d: &DecodedProg,
+        fault: Option<GenFault>,
+        stop_dead: bool,
+    ) -> Result<RunResult, DeadFlip> {
         let jit = self.jit.clone();
         let status = loop {
             if self.dyn_count >= self.fuel {
@@ -58,9 +103,13 @@ impl Machine<'_> {
                     if self.dyn_count == f.at_instr {
                         self.injected = true;
                         self.fault_pc = Some(self.pc);
-                        match f.effect {
+                        let flipped = match f.effect {
                             FaultEffect::RegXor { reg, mask } => {
                                 self.iregs[reg as usize] ^= mask;
+                                if stop_dead && d.named_iregs & (1 << reg) == 0 {
+                                    return Err(DeadFlip::UnnamedReg);
+                                }
+                                Some(reg)
                             }
                             FaultEffect::PcXor { mask } => {
                                 let target = self.pc ^ mask as usize;
@@ -68,22 +117,33 @@ impl Machine<'_> {
                                     break RunStatus::Segv; // wild fetch
                                 }
                                 self.pc = target;
+                                None
                             }
                             FaultEffect::MemXor { addr, bit } => {
                                 if let Ok(byte) = self.mem.read(addr, 1) {
                                     let _ = self.mem.write(addr, 1, byte ^ (1u64 << bit));
                                 }
+                                None
                             }
                             FaultEffect::AluXor { mask } => {
                                 // The slot's counted instruction needs
                                 // single-step execution to latch the
                                 // corrupted result.
                                 match self.exec_alu_slot(d, mask) {
-                                    None => continue,
-                                    Some(s) => break s,
+                                    Err(s) => break s,
+                                    Ok(None) if stop_dead => return Err(DeadFlip::Unlatched),
+                                    Ok(dst) => dst,
                                 }
                             }
+                        };
+                        if let (true, Some(reg)) = (stop_dead, flipped) {
+                            match self.watch_flip(d, reg) {
+                                Watch::Clobbered => return Err(DeadFlip::Clobbered),
+                                Watch::Live => {}
+                                Watch::Done(s) => break s,
+                            }
                         }
+                        continue;
                     } else if f.at_instr > self.dyn_count {
                         budget = budget.min(f.at_instr - self.dyn_count);
                     }
@@ -94,15 +154,17 @@ impl Machine<'_> {
                 SpanExit::Done(s) => break s,
             }
         };
-        self.take_result(status)
+        Ok(self.take_result(status))
     }
 
     /// Executes exactly the current slot's counted instruction (burning
     /// any preceding free probes), then XORs `mask` — truncated to the
     /// operation width — into the destination if that instruction was an
-    /// ALU op that committed. Returns the terminal status if the program
-    /// ended at this slot. Mirrors the legacy `run_mut` AluXor arm.
-    fn exec_alu_slot(&mut self, d: &DecodedProg, mask: u64) -> Option<RunStatus> {
+    /// ALU op that committed. Returns the register the corruption latched
+    /// into (`None` when it latched nothing), or the terminal status if
+    /// the program ended at this slot. Mirrors the legacy `run_mut`
+    /// AluXor arm.
+    fn exec_alu_slot(&mut self, d: &DecodedProg, mask: u64) -> Result<Option<u8>, RunStatus> {
         while let UOp::Probe(e) = &d.uops[self.pc] {
             bump_probe(&mut self.probes, *e);
             self.pc += 1;
@@ -116,15 +178,47 @@ impl Machine<'_> {
         // or finish immediately anyway), keeping the corrupted-result
         // latch on the one interpreted path.
         match self.exec_span(d, None, 1) {
-            SpanExit::Budget => {
-                if let Some((w, dst)) = target {
-                    let v = self.ireg(dst) ^ crate::alu::trunc(w, mask);
-                    self.set_ireg(dst, v);
-                }
-                None
-            }
-            SpanExit::Done(s) => Some(s),
+            SpanExit::Budget => Ok(target.and_then(|(w, dst)| {
+                let m = crate::alu::trunc(w, mask);
+                let v = self.ireg(dst) ^ m;
+                self.set_ireg(dst, v);
+                (m != 0).then_some(dst)
+            })),
+            SpanExit::Done(s) => Err(s),
         }
+    }
+
+    /// The clobber watch: single-steps up to [`WATCH_BUDGET`] counted
+    /// instructions after `reg` was flipped, asking
+    /// [`Machine::dyn_int_accesses`] about each one before it executes.
+    ///
+    /// Until the flipped register is read, execution is the golden run's
+    /// (same control flow, memory and output). An instruction that reads
+    /// it — read-modify-write included — hands the run back unchanged. One
+    /// that only writes it replaces all 64 bits from golden inputs, so the
+    /// whole state is golden again: [`Watch::Clobbered`].
+    fn watch_flip(&mut self, d: &DecodedProg, reg: u8) -> Watch {
+        let bit = 1u32 << reg;
+        for _ in 0..WATCH_BUDGET {
+            if self.dyn_count >= self.fuel {
+                break;
+            }
+            while let UOp::Probe(e) = &d.uops[self.pc] {
+                bump_probe(&mut self.probes, *e);
+                self.pc += 1;
+            }
+            let (reads, writes) = self.dyn_int_accesses();
+            if reads & bit != 0 {
+                break;
+            }
+            if writes & bit != 0 {
+                return Watch::Clobbered;
+            }
+            if let SpanExit::Done(s) = self.exec_span(d, None, 1) {
+                return Watch::Done(s);
+            }
+        }
+        Watch::Live
     }
 
     /// Decoded-engine counterpart of

@@ -70,6 +70,6 @@ pub use jit::{JitError, JitProg};
 pub use machine::{ExecEngine, Machine, MachineConfig, ProbeCounts, RunResult, RunStatus};
 pub use mem::{MemError, Memory, PageSnapshot, PAGE_SIZE};
 pub use outcome::{classify, Outcome};
-pub use runner::{GenFaultRecord, Replayer, Runner};
+pub use runner::{EarlyExits, GenFaultRecord, Replayer, Runner};
 pub use timing::{Latencies, Timing, TimingConfig};
 pub use trace::TraceSink;

@@ -383,7 +383,9 @@ impl<'p> Machine<'p> {
     pub fn run_mut(&mut self, fault: Option<GenFault>) -> RunResult {
         if let Some(d) = &self.decoded {
             let d = Arc::clone(d);
-            return self.run_decoded(&d, fault);
+            return self
+                .run_decoded(&d, fault, false)
+                .expect("a full run never stops early");
         }
         // An armed AluXor mask waiting for the slot's counted instruction.
         let mut alu_pending: Option<u64> = None;

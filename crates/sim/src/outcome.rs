@@ -43,10 +43,10 @@ impl Outcome {
         }
     }
 
-    /// Collapses to the paper's three Figure-8 buckets: hangs count as SDC,
-    /// detected faults count as SDC-avoided... no — detection terminates the
-    /// program abnormally, so it counts with SEGV in the "not unACE, not
-    /// silent corruption" bucket.
+    /// Collapses to the paper's three Figure-8 buckets (unACE, SDC, SEGV):
+    /// `Hang` maps to SDC, `Detected` maps to the SEGV bucket (detection
+    /// ends the program abnormally, like a crash), and every other outcome
+    /// maps to itself.
     pub fn figure8_bucket(self) -> Outcome {
         match self {
             Outcome::Hang => Outcome::Sdc,

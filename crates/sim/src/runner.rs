@@ -2,6 +2,7 @@
 
 use crate::checkpoint::CheckpointStore;
 use crate::decode::DecodedProg;
+use crate::exec::DeadFlip;
 use crate::fault::{FaultSpec, GenFault};
 use crate::machine::{ExecEngine, Machine, MachineConfig, RunResult};
 use crate::outcome::{classify, Outcome};
@@ -278,6 +279,7 @@ impl<'p> Runner<'p> {
         Replayer {
             runner: self,
             machine,
+            early_exits: EarlyExits::default(),
         }
     }
 
@@ -291,11 +293,33 @@ impl<'p> Runner<'p> {
     }
 }
 
+/// Fault runs a [`Replayer`] ended early because the injected flip was
+/// provably dead, by reason. Each such run returned the golden run's
+/// result without executing the rest of the program.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EarlyExits {
+    /// Register flips in a register no instruction of the program names.
+    pub unnamed_reg: u64,
+    /// Register flips overwritten before any read, within the bounded
+    /// watch window after injection.
+    pub clobbered: u64,
+    /// ALU transients that latched into no register.
+    pub unlatched: u64,
+}
+
+impl EarlyExits {
+    /// All early exits, whatever the reason.
+    pub fn total(&self) -> u64 {
+        self.unnamed_reg + self.clobbered + self.unlatched
+    }
+}
+
 /// A reusable fault-run executor: one machine arena, many injected runs.
 #[derive(Debug)]
 pub struct Replayer<'r, 'p> {
     runner: &'r Runner<'p>,
     machine: Machine<'p>,
+    early_exits: EarlyExits,
 }
 
 impl Replayer<'_, '_> {
@@ -306,14 +330,51 @@ impl Replayer<'_, '_> {
     /// checkpoint at or before the fault point and executes only the
     /// suffix; otherwise it resets and executes from instruction 0. Both
     /// paths return results bit-identical to a fresh from-scratch run.
+    ///
+    /// On the span engines a register fault run stops as soon as the flip
+    /// is provably dead (see [`EarlyExits`]) and returns what the full run
+    /// would: the golden run's status, output, instruction count and probe
+    /// counts, with this fault's `injected` and `fault_pc`.
     pub fn run_fault(&mut self, fault: impl Into<GenFault>) -> (Outcome, RunResult) {
         let fault = fault.into();
+        let golden = &self.runner.golden;
         match self.runner.ckpts.prefix_for(fault.at_instr) {
-            Some(prefix) => self.machine.restore(prefix, &self.runner.golden.output),
+            Some(prefix) => self.machine.restore(prefix, &golden.output),
             None => self.machine.reset(),
         }
-        let result = self.machine.run_mut(Some(fault));
-        (classify(&self.runner.golden, &result), result)
+        // The legacy core is the reference and always runs in full.
+        let run = match self.machine.decoded.clone() {
+            Some(d) => self.machine.run_decoded(&d, Some(fault), true),
+            None => Ok(self.machine.run_mut(Some(fault))),
+        };
+        let result = match run {
+            Ok(result) => result,
+            Err(dead) => {
+                let n = match dead {
+                    DeadFlip::UnnamedReg => &mut self.early_exits.unnamed_reg,
+                    DeadFlip::Clobbered => &mut self.early_exits.clobbered,
+                    DeadFlip::Unlatched => &mut self.early_exits.unlatched,
+                };
+                *n += 1;
+                RunResult {
+                    status: golden.status,
+                    output: golden.output.clone(),
+                    dyn_instrs: golden.dyn_instrs,
+                    probes: golden.probes,
+                    injected: true,
+                    fault_pc: self.machine.fault_pc,
+                    cycles: None,
+                    cache_hits: None,
+                    cache_misses: None,
+                }
+            }
+        };
+        (classify(golden, &result), result)
+    }
+
+    /// The early exits this replayer has taken so far.
+    pub fn early_exits(&self) -> EarlyExits {
+        self.early_exits
     }
 
     /// Runs once with `fault` injected and returns the provenance-annotated
@@ -574,6 +635,57 @@ mod tests {
                 assert_eq!(r_l, r_j, "{f}: jit result diverged");
             }
         }
+    }
+
+    /// The dead-flip early exit returns exactly the full run's result: on
+    /// every slot × injectable register × a few single-bit and burst
+    /// masks, plus a transient ALU fault at every slot, the decoded and
+    /// jit replayers (which stop early) agree with the legacy one (which
+    /// never does), and every exit reason fires.
+    #[test]
+    fn dead_flip_early_exit_matches_the_full_run() {
+        use crate::fault::FaultEffect;
+        let prog = looping_program();
+        let mk = |engine| {
+            Runner::new(
+                &prog,
+                &MachineConfig {
+                    engine,
+                    ..MachineConfig::default()
+                },
+            )
+        };
+        let (legacy, decoded, jit) = (
+            mk(ExecEngine::Legacy),
+            mk(ExecEngine::Decoded),
+            mk(ExecEngine::Jit),
+        );
+        let mut rl = legacy.replayer();
+        let mut rd = decoded.replayer();
+        let mut rj = jit.replayer();
+        let mut faults = Vec::new();
+        for at in 0..legacy.golden().dyn_instrs {
+            for reg in FaultSpec::injectable_regs() {
+                for mask in [1u64, 1 << 31, 1 << 63, 0b1111 << 20] {
+                    faults.push(GenFault::new(at, FaultEffect::RegXor { reg, mask }));
+                }
+            }
+            for mask in [1u64, 1 << 40] {
+                faults.push(GenFault::new(at, FaultEffect::AluXor { mask }));
+            }
+        }
+        for f in faults {
+            let expected = rl.run_fault(f);
+            assert_eq!(rd.run_fault(f), expected, "{f}: decoded diverged");
+            assert_eq!(rj.run_fault(f), expected, "{f}: jit diverged");
+        }
+        assert_eq!(rl.early_exits().total(), 0, "legacy runs in full");
+        for exits in [rd.early_exits(), rj.early_exits()] {
+            assert!(exits.unnamed_reg > 0, "{exits:?}");
+            assert!(exits.clobbered > 0, "{exits:?}");
+            assert!(exits.unlatched > 0, "{exits:?}");
+        }
+        assert_eq!(rd.early_exits(), rj.early_exits());
     }
 
     /// The jit engine is pinned bit-identical to the decoded and legacy

@@ -189,3 +189,57 @@ fn swiftr_windows_of_vulnerability_are_real_but_small() {
     let rate = bad as f64 / total as f64;
     assert!(rate < 0.04, "residual damage rate {rate:.4} too high");
 }
+
+/// The dead-flip early exit is invisible: on adpcmdec under NOFT and
+/// SWIFT-R, strided seu-reg, multi-bit and transient-ALU faults give the
+/// same full `RunResult` on the decoded and jit replayers (which stop a
+/// run once its flip is provably dead) as on the legacy one (which runs
+/// every fault to the end), and the shortcut actually fires.
+#[test]
+fn dead_flip_early_exit_is_invisible() {
+    use sor_sim::{ExecEngine, FaultEffect, GenFault, Runner, INJECTABLE_REGS};
+    let module = adpcm_small().build();
+    for t in [T::Noft, T::SwiftR] {
+        let p = lower(&t.apply(&module), &LowerConfig::default()).unwrap();
+        let runner = |engine| {
+            Runner::new(
+                &p,
+                &MachineConfig {
+                    engine,
+                    ..MachineConfig::default()
+                },
+            )
+        };
+        let (legacy, decoded, jit) = (
+            runner(ExecEngine::Legacy),
+            runner(ExecEngine::Decoded),
+            runner(ExecEngine::Jit),
+        );
+        let (mut rl, mut rd, mut rj) = (legacy.replayer(), decoded.replayer(), jit.replayer());
+        let len = legacy.golden().dyn_instrs;
+        for (i, at) in (0..len).step_by(11 * STRIDE).enumerate() {
+            let reg = INJECTABLE_REGS[i % INJECTABLE_REGS.len()];
+            let bit = (i * 7 % 62) as u8;
+            let effects = [
+                FaultEffect::RegXor {
+                    reg,
+                    mask: 1 << bit,
+                },
+                FaultEffect::RegXor {
+                    reg: INJECTABLE_REGS[(i * 5 + 3) % INJECTABLE_REGS.len()],
+                    mask: 0b111 << bit,
+                },
+                FaultEffect::AluXor { mask: 1 << bit },
+            ];
+            for effect in effects {
+                let f = GenFault::new(at, effect);
+                let expected = rl.run_fault(f);
+                assert_eq!(rd.run_fault(f), expected, "{t} {f}: decoded");
+                assert_eq!(rj.run_fault(f), expected, "{t} {f}: jit");
+            }
+        }
+        assert_eq!(rl.early_exits().total(), 0, "{t}: legacy runs in full");
+        assert!(rd.early_exits().total() > 0, "{t}: no early exit");
+        assert_eq!(rd.early_exits(), rj.early_exits(), "{t}");
+    }
+}
