@@ -36,7 +36,10 @@ impl Default for CacheConfig {
 #[derive(Debug, Clone)]
 pub struct Cache {
     sets: Vec<(u64, u64)>, // (tag, last-used stamp); stamp 0 = empty way
-    num_sets: u64,
+    /// `num_sets - 1`: the set count is a power of two, so a line's set is
+    /// its low bits and its tag the rest.
+    set_mask: u64,
+    set_shift: u32,
     line_shift: u32,
     assoc: usize,
     stamp: u64,
@@ -61,7 +64,8 @@ impl Cache {
         );
         Cache {
             sets: vec![(0, 0); num_sets as usize * cfg.assoc],
-            num_sets,
+            set_mask: num_sets - 1,
+            set_shift: num_sets.trailing_zeros(),
             line_shift: cfg.line.trailing_zeros(),
             assoc: cfg.assoc,
             stamp: 0,
@@ -74,8 +78,8 @@ impl Cache {
     pub fn access(&mut self, addr: u64) -> bool {
         self.stamp += 1;
         let line = addr >> self.line_shift;
-        let set = (line % self.num_sets) as usize;
-        let tag = line / self.num_sets;
+        let set = (line & self.set_mask) as usize;
+        let tag = line >> self.set_shift;
         let ways = &mut self.sets[set * self.assoc..][..self.assoc];
         if let Some(w) = ways.iter_mut().find(|(t, s)| *s != 0 && *t == tag) {
             w.1 = self.stamp;

@@ -18,8 +18,8 @@ use sor_ir::{Fnv1a, NUM_FREGS, NUM_IREGS};
 /// before the dynamic instruction with index [`Checkpoint::at`] executes.
 ///
 /// Memory is stored as a delta ([`PageSnapshot`]) relative to the previous
-/// checkpoint; restoring therefore replays the whole checkpoint prefix (see
-/// [`crate::Machine::restore`]).
+/// checkpoint; restoring therefore reads the whole checkpoint prefix,
+/// taking each page's newest image (see [`crate::Machine::restore`]).
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     /// Dynamic instruction index at which the state was captured.

@@ -308,40 +308,35 @@ impl Machine<'_> {
                 if run <= left {
                     if let Some(j) = jit {
                         // Native fast path: the budget covers the whole
-                        // remaining run, so no observation can fall inside
-                        // it and the compiled code may execute straight to
-                        // the run's edge. Side-exits (ops with no inline
-                        // template, segment misses) return the pc of the
-                        // first unexecuted op; that single op is
-                        // interpreted through the same `exec_straight` and
-                        // native execution resumes after it. Partial
-                        // budgets — an observation inside the run — take
-                        // the interpreted slice below, keeping every slot
-                        // boundary exactly where the decoded engine puts
-                        // it.
-                        let end = pc + run as usize;
-                        let mut cur = pc;
-                        loop {
-                            let stop = j.run_from(self, cur);
-                            let k = (stop - cur) as u64;
-                            self.dyn_count += k;
-                            left -= k;
-                            self.pc = stop;
-                            if stop == end {
-                                break;
-                            }
-                            if let Err(s) = self.exec_straight(&d.uops[stop]) {
-                                self.dyn_count += 1;
-                                return SpanExit::Done(s);
-                            }
-                            self.dyn_count += 1;
-                            left -= 1;
-                            self.pc = stop + 1;
-                            if self.pc == end {
-                                break;
-                            }
-                            cur = self.pc;
+                        // run, which is charged up front; the compiled
+                        // code then chains across jumps and branches
+                        // while the budget covers each target run (see
+                        // the jit module docs), so it stops only where
+                        // this loop would service something anyway.
+                        let (stop, rest) = j.run_from(self, pc, left - run);
+                        self.dyn_count += left - rest;
+                        left = rest;
+                        self.pc = stop;
+                        // It stopped at control flow or a probe it does
+                        // not chain (`run_len` 0), at a run the budget
+                        // cannot cover, or at a side exit: an op with no
+                        // inline template or a memory access off the fast
+                        // path, whose run the exit stub refunded. Only the
+                        // last leaves the budget covering the run at
+                        // `stop`; interpret that single op through the
+                        // same `exec_straight`, and re-enter native code
+                        // after it.
+                        let rest_run = d.run_len[stop] as u64;
+                        if rest_run == 0 || rest_run > left {
+                            continue;
                         }
+                        if let Err(s) = self.exec_straight(&d.uops[stop]) {
+                            self.dyn_count += 1;
+                            return SpanExit::Done(s);
+                        }
+                        self.dyn_count += 1;
+                        left -= 1;
+                        self.pc = stop + 1;
                         continue;
                     }
                 }

@@ -1,8 +1,9 @@
 //! The JIT execution engine: superblocks compiled to native x86-64.
 //!
 //! [`JitProg`] translates each straight-line superblock of a
-//! [`DecodedProg`] (the `run_len` span table) into native machine code via
-//! a dependency-free template emitter: one fixed code template per
+//! [`DecodedProg`] (the `run_len` span table), and the jumps and branches
+//! between them, into native machine code via a dependency-free template
+//! emitter: one fixed code template per
 //! micro-op, emitted in program order into an executable buffer obtained
 //! with raw `mmap`/`mprotect` syscalls (no libc, no new crates). The
 //! decoded interpreter remains the differential oracle — and the fallback
@@ -12,16 +13,32 @@
 //!
 //! Native code is entered only at a straight-line pc and only when the
 //! caller's counted-instruction budget covers the whole remaining run
-//! (`exec_span` enforces this), so every observation point — fault slot,
-//! probe, checkpoint boundary, fuel check — stays at a span edge exactly
-//! as the decoded engine services it. A compiled span either runs to its
-//! edge or *side-exits*: the native code returns the absolute pc of the
-//! first micro-op it did **not** execute, and the interpreter replays that
-//! single op through the same `exec_straight` the decoded engine uses.
-//! Committed state (register file, memory, dirty-page bitmap) lives in the
-//! [`Machine`] — native code writes straight through [`JitCtx`] pointers —
-//! so the machine observed at any exit is bit-identical to the decoded
-//! engine having executed the same prefix.
+//! (`exec_span` enforces this). The caller charges that entry run up
+//! front and passes the rest of the budget in [`JitCtx`]; the prologue
+//! loads it into `rbx` (callee-saved, so the entry glue saves it) and the
+//! shared epilogue stores it back. `Jump` and `Branch` are compiled
+//! natively and *chain* straight to their target's template:
+//!
+//! * with a budget of 0 the transfer exits *before* the control op;
+//! * otherwise it charges 1 for the control op, then enters a
+//!   straight-line target only if the budget covers the target's whole
+//!   `run_len`, charging it up front — else it exits *at* the target.
+//!
+//! Every other exit is a stub that returns the absolute pc of the first
+//! micro-op it did **not** execute and *refunds* `run_len` at that pc —
+//! the uncommitted part of the pre-charged run. Calls, returns, probes
+//! and traps are such stubs (their `run_len` is 0), and so are the
+//! *side exits*: ops with no inline template and memory accesses off the
+//! fast path. The interpreter replays a side-exited op through the same
+//! `exec_straight` the decoded engine uses. So the budget in `rbx` is at
+//! every instant exactly what the decoded engine's budget would be, native
+//! code never runs past it, and every observation point — fault slot,
+//! probe, checkpoint boundary, fuel check — lands at the same
+//! `(dyn_count, pc)` as the decoded interpreter's. Committed state
+//! (register file, memory, dirty-page bitmap) lives in the [`Machine`] —
+//! native code writes straight through [`JitCtx`] pointers — so the
+//! machine observed at any exit is bit-identical to the decoded engine
+//! having executed the same prefix.
 //!
 //! Ops whose semantics differ between x86 hardware and the interpreter
 //! are never inlined; their template is the side-exit stub itself:
@@ -170,7 +187,7 @@ impl JitProg {
 impl JitProg {
     /// Uninstantiable off-native (the type is uninhabited there), so the
     /// span loop's native dispatch needs no cfg at the call site.
-    pub(crate) fn run_from(&self, _m: &mut Machine, _pc: usize) -> usize {
+    pub(crate) fn run_from(&self, _m: &mut Machine, _pc: usize, _budget: u64) -> (usize, u64) {
         match self.never {}
     }
 }
@@ -189,7 +206,8 @@ fn rounded_global_len(global_extent: u64) -> usize {
 
 /// The state block native code reads its pinned pointers from (prologue
 /// loads, in field order: `r8`=iregs, `r9`=fregs, `r10`=global, `r11`=
-/// stack, `rdi`=dirty bitmap or null).
+/// stack, `rdi`=dirty bitmap or null), plus the counted-instruction
+/// budget, loaded into `rbx` on entry and stored back on exit.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 #[repr(C)]
 struct JitCtx {
@@ -198,16 +216,24 @@ struct JitCtx {
     global: *mut u8,
     stack: *mut u8,
     dirty: *mut u64,
+    budget: u64,
 }
+
+/// Byte offset of [`JitCtx::budget`] (the prologue and epilogue address it).
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+const CTX_BUDGET: i32 = 40;
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 impl JitProg {
-    /// Runs native code from `pc` (which must be inside a straight-line
-    /// run of the program this image was compiled from) until the run's
-    /// edge or a side-exit, and returns the absolute pc of the first
-    /// micro-op that was **not** executed. Every op before it has
-    /// committed exactly its interpreter effect to `m`.
-    pub(crate) fn run_from(&self, m: &mut Machine, pc: usize) -> usize {
+    /// Runs chained native code from `pc` (which must be inside a
+    /// straight-line run of the program this image was compiled from),
+    /// with the run starting at `pc` already charged and `budget` counted
+    /// instructions left after it. Returns the absolute pc of the first
+    /// micro-op that was **not** executed and the budget left there (see
+    /// the module docs): every op before it has committed exactly its
+    /// interpreter effect to `m`, and the counted instructions committed
+    /// are the charged run plus `budget` minus the returned budget.
+    pub(crate) fn run_from(&self, m: &mut Machine, pc: usize, budget: u64) -> (usize, u64) {
         debug_assert!(pc + 1 < self.entry.len());
         debug_assert_eq!(m.mem.global_len(), self.global_len);
         let (global, stack, dirty) = m.mem.raw_parts();
@@ -217,18 +243,28 @@ impl JitProg {
             global,
             stack,
             dirty,
+            budget,
         };
-        // SAFETY: `buf` holds the prologue at offset 0 followed by the
-        // per-pc templates; `entry[pc]` is a valid template offset. The
-        // generated code only dereferences the five `ctx` pointers, all
-        // valid for the machine's segment sizes (asserted above), and
-        // returns via the stub `ret` with the stop pc in `eax`.
-        unsafe {
+        // SAFETY: `buf` holds the entry glue at offset 0 followed by the
+        // per-pc templates; `entry[pc]` is a valid template offset, and
+        // every chained jump lands on another `entry` offset (patched at
+        // compile time). The generated code only dereferences the five
+        // `ctx` pointers, all valid for the machine's segment sizes
+        // (asserted above), plus `ctx` itself: it reads `budget` on entry
+        // and writes it back on exit, while `ctx` is a live exclusive
+        // local. It touches the host stack only to push `rbx` (the one
+        // callee-saved register it uses, restored before `ret`) and the
+        // `ctx` pointer, both popped by the single epilogue every exit
+        // jumps to, and it returns with the stop pc in `eax`. Native code
+        // terminates: every chained transfer charges at least 1 against
+        // the finite budget and exits before it would go negative.
+        let stop = unsafe {
             let enter: extern "sysv64" fn(*mut JitCtx, *const u8) -> u64 =
                 std::mem::transmute(self.buf.ptr);
             let target = self.buf.ptr.add(self.entry[pc] as usize);
             enter(&mut ctx, target) as usize
-        }
+        };
+        (stop, ctx.budget)
     }
 
     fn compile_native(d: &DecodedProg, prog: &Program) -> Result<JitProg, JitError> {
@@ -237,21 +273,30 @@ impl JitProg {
             glen: glen as u64,
             stack_len: layout::STACK_TOP - layout::STACK_BASE,
             global_pages: (glen as u64 / crate::mem::PAGE_SIZE) as i32,
+            run_len: &d.run_len,
         };
         let n = d.uops.len();
         let mut a = Asm::default();
-        emit_prologue(&mut a);
+        emit_glue(&mut a);
         let mut entry = vec![0u32; n + 1];
         for (pc, u) in d.uops.iter().enumerate() {
             entry[pc] = a.len() as u32;
-            if !emit_op(&mut a, pc, u, &lay) {
-                emit_stub(&mut a, pc);
+            let inline = match *u {
+                UOp::Jump(t) => emit_chain(&mut a, pc, None, t as usize, t as usize, &lay),
+                UOp::Branch { cond, t, f } => {
+                    emit_chain(&mut a, pc, Some(cond), t as usize, f as usize, &lay)
+                }
+                _ => emit_op(&mut a, pc, u, &lay),
+            };
+            if !inline {
+                emit_stub(&mut a, pc, &lay);
             }
         }
         // Terminator stub: a run ending at the image's last op falls
         // through here and reports pc == uops.len().
         entry[n] = a.len() as u32;
-        emit_stub(&mut a, n);
+        emit_stub(&mut a, n, &lay);
+        a.finish(&entry, &lay);
         let buf = ExecBuf::new(&a.code)?;
         Ok(JitProg {
             buf,
@@ -261,12 +306,24 @@ impl JitProg {
     }
 }
 
-/// Per-program constants baked into the emitted range checks.
+/// Per-program constants baked into the emitted code: the range checks'
+/// segment bounds and the span table the budget charges and refunds read.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-struct Layout {
+struct Layout<'a> {
     glen: u64,
     stack_len: u64,
     global_pages: i32,
+    run_len: &'a [u32],
+}
+
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+impl Layout<'_> {
+    /// Length of the straight-line run from `pc` (`0` at control flow,
+    /// probes and the terminator): what entering `pc` charges up front,
+    /// and what stopping at `pc` refunds.
+    fn run(&self, pc: usize) -> u32 {
+        self.run_len.get(pc).copied().unwrap_or(0)
+    }
 }
 
 // SAFETY: `entry` (a boxed slice) and `global_len` are owned plain data.
@@ -404,12 +461,15 @@ unsafe fn syscall(nr: i64, a1: i64, a2: i64, a3: i64, a4: i64, a5: i64, a6: i64)
 // The template emitter.
 //
 // Register convention inside generated code (established by the prologue,
-// never spilled — templates are leaf straight-line code):
+// never spilled — templates are leaf code that only jumps between
+// templates):
 //   r8  = &iregs[0]        r9  = &fregs[0]
 //   r10 = global base      r11 = stack base
 //   rdi = dirty bitmap (null when page tracking is off)
+//   rbx = counted-instruction budget left (saved by the prologue)
 //   rax, rcx, rdx, rsi, xmm0, xmm1 = scratch
-// Exit protocol: `eax` = absolute pc of the first unexecuted op; `ret`.
+// Exit protocol: `eax` = absolute pc of the first unexecuted op, `rbx`
+// refunded to the budget at that pc; jump to the shared epilogue.
 // ---------------------------------------------------------------------------
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
@@ -417,6 +477,7 @@ mod regs {
     pub const RAX: u8 = 0;
     pub const RCX: u8 = 1;
     pub const RDX: u8 = 2;
+    pub const RBX: u8 = 3;
     pub const RSI: u8 = 6;
     pub const RDI: u8 = 7;
     pub const R8: u8 = 8;
@@ -445,11 +506,18 @@ use regs::*;
 struct Label(usize);
 
 /// Minimal x86-64 instruction emitter — exactly the encodings the
-/// templates need, nothing more.
+/// templates need, nothing more — plus the two kinds of jump it resolves
+/// once every template is placed (see [`Asm::finish`]).
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 #[derive(Default)]
 struct Asm {
     code: Vec<u8>,
+    /// Offset of the shared epilogue every exit jumps to.
+    epilogue: usize,
+    /// Chained jumps to the template of a pc.
+    chains: Vec<(Label, usize)>,
+    /// Rarely taken exits to a pc, whose stubs go out of line.
+    cold: Vec<(Label, usize)>,
 }
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
@@ -592,13 +660,19 @@ impl Asm {
         self.modrm_rr(reg, rm);
     }
 
-    /// `<op> rm, imm32` (group-1 immediate; sub selects the operation:
-    /// 0 add, 4 and, 5 sub, 7 cmp).
+    /// `<op> rm, imm` (group-1 immediate; sub selects the operation:
+    /// 0 add, 4 and, 5 sub, 7 cmp), as a sign-extended imm8 when it fits.
     fn grp1_imm(&mut self, w: bool, sub: u8, rm: u8, imm: i32) {
         self.rex(w, 0, 0, rm);
-        self.b(0x81);
-        self.modrm_rr(sub, rm);
-        self.d32(imm as u32);
+        if let Ok(x) = i8::try_from(imm) {
+            self.b(0x83);
+            self.modrm_rr(sub, rm);
+            self.b(x as u8);
+        } else {
+            self.b(0x81);
+            self.modrm_rr(sub, rm);
+            self.d32(imm as u32);
+        }
     }
 
     /// `imul reg, [base + disp]`.
@@ -757,8 +831,45 @@ impl Asm {
 
     /// Resolves a forward branch to the current position.
     fn bind(&mut self, l: Label) {
-        let rel = (self.code.len() - (l.0 + 4)) as i32;
+        self.patch(l, self.code.len());
+    }
+
+    /// Resolves a branch to code offset `to`.
+    fn patch(&mut self, l: Label, to: usize) {
+        let rel = (to as i64 - (l.0 + 4) as i64) as i32;
         self.code[l.0..l.0 + 4].copy_from_slice(&rel.to_le_bytes());
+    }
+
+    /// `jmp` to the template of `pc`, resolved by [`Asm::finish`].
+    fn jmp_pc(&mut self, pc: usize) {
+        let l = self.jmp();
+        self.chains.push((l, pc));
+    }
+
+    /// `j<cc>` to an out-of-line exit at `pc`, emitted by [`Asm::finish`].
+    fn jcc_exit(&mut self, cc: u8, pc: usize) {
+        let l = self.jcc(cc);
+        self.cold.push((l, pc));
+    }
+
+    /// Resolves the chained jumps against the finished `entry` table and
+    /// appends one cold exit stub per pc. A cold exit at `pc` always
+    /// refunds what reaching `pc` charged: the run from `pc`, or 1 for
+    /// a control op (a side exit, a target the budget cannot cover, and a
+    /// control op met with an empty budget, respectively).
+    fn finish(&mut self, entry: &[u32], lay: &Layout) {
+        for (l, pc) in std::mem::take(&mut self.chains) {
+            self.patch(l, entry[pc] as usize);
+        }
+        let mut stubs = vec![None; entry.len()];
+        for (l, pc) in std::mem::take(&mut self.cold) {
+            let at = *stubs[pc].get_or_insert_with(|| {
+                let at = self.code.len();
+                emit_exit(self, pc, lay.run(pc).max(1));
+                at
+            });
+            self.patch(l, at);
+        }
     }
 
     fn ret(&mut self) {
@@ -778,23 +889,81 @@ fn freg_off(r: u8) -> i32 {
     ((r as usize & (NUM_FREGS - 1)) * 8) as i32
 }
 
-/// Entry glue: `fn(rdi = &JitCtx, rsi = template address)`.
+/// Entry glue `fn(rdi = &JitCtx, rsi = template address) -> stop pc` at
+/// offset 0, followed by the shared epilogue every exit jumps to.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-fn emit_prologue(a: &mut Asm) {
+fn emit_glue(a: &mut Asm) {
+    a.b(0x53); // push rbx (callee-saved)
+    a.b(0x57); // push rdi (ctx, for the epilogue)
+    a.load(true, RBX, RDI, CTX_BUDGET);
     a.load(true, R8, RDI, 0); // iregs
     a.load(true, R9, RDI, 8); // fregs
     a.load(true, R10, RDI, 16); // global base
     a.load(true, R11, RDI, 24); // stack base
     a.load(true, RDI, RDI, 32); // dirty bitmap (or null) — clobbers ctx last
     a.jmp_reg(RSI);
+    a.epilogue = a.len();
+    a.b(0x59); // pop rcx (ctx)
+    a.store(true, RCX, CTX_BUDGET, RBX);
+    a.b(0x5B); // pop rbx
+    a.ret();
 }
 
-/// `mov eax, pc; ret` — the side-exit / run-edge stub.
+/// `mov eax, pc; add rbx, refund; jmp epilogue` — stop at `pc`, giving
+/// back the `refund` counted instructions charged but not executed.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-fn emit_stub(a: &mut Asm, pc: usize) {
+fn emit_exit(a: &mut Asm, pc: usize, refund: u32) {
     a.b(0xB8);
     a.d32(pc as u32);
-    a.ret();
+    if refund > 0 {
+        a.grp1_imm(true, 0, RBX, refund as i32);
+    }
+    let l = a.jmp();
+    a.patch(l, a.epilogue);
+}
+
+/// The side-exit / run-edge stub: stop at `pc`, refunding the rest of its
+/// pre-charged run.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+fn emit_stub(a: &mut Asm, pc: usize, lay: &Layout) {
+    emit_exit(a, pc, lay.run(pc));
+}
+
+/// The chained template of `Jump` (`cond` is `None`, `t == f`) and
+/// `Branch` (to `t` when `iregs[cond] != 0`, else `f`). Returns `false`,
+/// leaving the op to the interpreter, when a target is outside the image.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+fn emit_chain(a: &mut Asm, pc: usize, cond: Option<u8>, t: usize, f: usize, lay: &Layout) -> bool {
+    if t >= lay.run_len.len() || f >= lay.run_len.len() {
+        return false;
+    }
+    // Charge the control op, or stop before it on an empty budget.
+    a.grp1_imm(true, 5, RBX, 1);
+    a.jcc_exit(CC_B, pc);
+    if let Some(c) = cond {
+        a.load(true, RAX, R8, ireg_off(c));
+        a.test_rr(true, RAX, RAX);
+        let not_taken = a.jcc(CC_E);
+        emit_enter(a, t, false, lay);
+        a.bind(not_taken);
+    }
+    emit_enter(a, f, f == pc + 1, lay);
+    true
+}
+
+/// Transfers to the template of `x`: a straight-line target's whole run is
+/// charged up front, or the code stops at `x` when the budget cannot cover
+/// it. With `fall`, the template of `x` is the next code emitted.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+fn emit_enter(a: &mut Asm, x: usize, fall: bool, lay: &Layout) {
+    let run = lay.run(x);
+    if run > 0 {
+        a.grp1_imm(true, 5, RBX, run as i32);
+        a.jcc_exit(CC_B, x);
+    }
+    if !fall {
+        a.jmp_pc(x);
+    }
 }
 
 /// Loads a [`Src`] into `reg` (32-bit form zero-extends, which every
@@ -835,25 +1004,22 @@ fn emit_mem_access(
     pc: usize,
     mut body: impl FnMut(&mut Asm, u8, bool),
 ) {
-    let mut done = Vec::with_capacity(2);
     let neg_global = i32::try_from(-(layout::GLOBAL_BASE as i64)).expect("base fits disp32");
     let neg_stack = i32::try_from(-(layout::STACK_BASE as i64)).expect("base fits disp32");
+    let mut done = None;
     if lay.glen >= bytes {
         a.lea(RCX, RAX, neg_global);
         a.grp1_imm(true, 7, RCX, (lay.glen - bytes) as i32);
         let miss = a.jcc(CC_A);
         body(a, R10, true);
-        done.push(a.jmp());
+        done = Some(a.jmp());
         a.bind(miss);
     }
     a.lea(RCX, RAX, neg_stack);
     a.grp1_imm(true, 7, RCX, (lay.stack_len - bytes) as i32);
-    let miss = a.jcc(CC_A);
+    a.jcc_exit(CC_A, pc);
     body(a, R11, false);
-    done.push(a.jmp());
-    a.bind(miss);
-    emit_stub(a, pc);
-    for l in done {
+    if let Some(l) = done {
         a.bind(l);
     }
 }
@@ -884,9 +1050,9 @@ fn emit_dirty_mark(a: &mut Asm, bytes: u64, page_base: i32) {
     a.bind(skip);
 }
 
-/// Emits the inline template for one micro-op, or returns `false` when
-/// the op has none (division, conversions-to-int, externals, frame ops,
-/// control flow, probes) and must take the side-exit stub.
+/// Emits the inline template for one straight-line micro-op, or returns
+/// `false` when the op has none (division, conversions-to-int, externals,
+/// frame ops, calls, returns, traps, probes) and must take the stub.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 fn emit_op(a: &mut Asm, pc: usize, u: &UOp, lay: &Layout) -> bool {
     match u {
@@ -1071,8 +1237,9 @@ fn emit_op(a: &mut Asm, pc: usize, u: &UOp, lay: &Layout) -> bool {
         }
         // No inline template: hardware semantics diverge (div/rem traps,
         // cvttsd2si's indefinite pattern) or the op touches machine state
-        // native code cannot reach (output vector, frames, probes,
-        // control flow). The stub side-exits to the interpreter.
+        // native code cannot reach (output vector, frames, probes, calls
+        // and returns). The stub side-exits to the interpreter. `Jump`
+        // and `Branch` are chained by `emit_chain` before this is asked.
         UOp::CvtFI { .. }
         | UOp::CallExt { .. }
         | UOp::Enter { .. }

@@ -504,8 +504,10 @@ impl<'p> Machine<'p> {
     ///
     /// `prefix` must be the full checkpoint sequence from the start of the
     /// golden run up to and including the restore target, in capture order:
-    /// memory is rebuilt by resetting to pristine and replaying every
-    /// checkpoint's page delta. `golden_output` is the golden run's full
+    /// memory is rebuilt as if reset to pristine with every checkpoint's
+    /// page delta replayed, writing each page once
+    /// ([`crate::Memory::restore_snapshots`]). `golden_output` is the
+    /// golden run's full
     /// output, from which the restored output prefix is taken.
     ///
     /// # Panics
@@ -526,10 +528,8 @@ impl<'p> Machine<'p> {
         self.out.extend_from_slice(&golden_output[..ck.out_len]);
         self.injected = false;
         self.fault_pc = None;
-        self.mem.reset_tracked();
-        for c in prefix {
-            self.mem.apply_pages(&c.pages);
-        }
+        self.mem
+            .restore_snapshots(prefix.iter().rev().map(|c| &c.pages));
     }
 
     /// Runs the fault-free golden execution, capturing a checkpoint every

@@ -204,18 +204,58 @@ impl Memory {
     /// Panics unless [`Memory::enable_page_tracking`] was called.
     pub fn reset_tracked(&mut self) {
         assert!(self.tracking, "page tracking not enabled");
-        let global_pages = self.global.len() / PAGE_SIZE as usize;
-        let pristine = self.pristine_global.take().expect("tracking");
         for p in self.drain_dirty() {
-            let pu = p as usize;
-            if pu < global_pages {
-                let range = pu * PAGE_SIZE as usize..(pu + 1) * PAGE_SIZE as usize;
-                self.global[range.clone()].copy_from_slice(&pristine[range]);
-            } else {
-                self.page_slice_mut(p).fill(0);
+            self.reset_page(p);
+        }
+    }
+
+    /// Rolls page `p` back to its pristine post-init contents.
+    fn reset_page(&mut self, p: u32) {
+        let pu = p as usize;
+        if pu < self.global.len() / PAGE_SIZE as usize {
+            let range = pu * PAGE_SIZE as usize..(pu + 1) * PAGE_SIZE as usize;
+            let pristine = self.pristine_global.as_ref().expect("tracking");
+            self.global[range.clone()].copy_from_slice(&pristine[range]);
+        } else {
+            self.page_slice_mut(p).fill(0);
+        }
+    }
+
+    /// [`Memory::reset_tracked`] followed by [`Memory::apply_pages`] of a
+    /// snapshot sequence, given **newest first**, with each page written
+    /// once: a page takes its newest snapshot image, a dirty page no
+    /// snapshot holds goes back to pristine, and the dirty set ends as the
+    /// union of the snapshots' pages. Memory and dirty set come out
+    /// bit-identical to the reset-then-replay sequence.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`Memory::enable_page_tracking`] was called.
+    pub fn restore_snapshots<'s>(
+        &mut self,
+        newest_first: impl IntoIterator<Item = &'s PageSnapshot>,
+    ) {
+        assert!(self.tracking, "page tracking not enabled");
+        // `dirty` restarts empty and doubles as the seen set, so older
+        // images of a page are skipped.
+        let fresh = vec![0; self.dirty.len()];
+        let stale = std::mem::replace(&mut self.dirty, fresh);
+        for snap in newest_first {
+            for (p, bytes) in &snap.pages {
+                let (w, bit) = (*p as usize / 64, 1u64 << (p % 64));
+                if self.dirty[w] & bit == 0 {
+                    self.dirty[w] |= bit;
+                    self.page_slice_mut(*p).copy_from_slice(bytes);
+                }
             }
         }
-        self.pristine_global = Some(pristine);
+        for (w, old) in stale.into_iter().enumerate() {
+            let mut bits = old & !self.dirty[w];
+            while bits != 0 {
+                self.reset_page((w * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
     }
 
     /// Writes the snapshot's pages into memory, marking them dirty so a
@@ -387,6 +427,46 @@ mod tests {
         b.reset_tracked();
         assert_eq!(b.read(layout::GLOBAL_BASE + 100, 8).unwrap(), 0);
         assert_eq!(b.read(layout::STACK_TOP - 64, 8).unwrap(), 0);
+    }
+
+    #[test]
+    fn restore_snapshots_equals_reset_then_replay() {
+        let init = 5u64.to_le_bytes();
+        let fresh = || {
+            let mut m = Memory::new(3 * PAGE_SIZE, &[(layout::GLOBAL_BASE + 16, &init)]);
+            m.enable_page_tracking();
+            m
+        };
+        let g = |page: u64| layout::GLOBAL_BASE + page * PAGE_SIZE + 16;
+        // Three deltas: page 0 twice, page 1 once, one stack page.
+        let mut src = fresh();
+        src.write(g(0), 8, 1).unwrap();
+        src.write(layout::STACK_TOP - 8, 8, 2).unwrap();
+        let s0 = src.take_dirty_pages();
+        src.write(g(1), 8, 3).unwrap();
+        let s1 = src.take_dirty_pages();
+        src.write(g(0), 8, 4).unwrap();
+        let s2 = src.take_dirty_pages();
+        let snaps = [s0, s1, s2];
+        for n in 0..=snaps.len() {
+            // Dirty pages both inside and outside the prefix beforehand.
+            let (mut a, mut b) = (fresh(), fresh());
+            for m in [&mut a, &mut b] {
+                m.write(g(2), 8, 9).unwrap();
+                m.write(g(0), 8, 9).unwrap();
+                m.write(layout::STACK_TOP - PAGE_SIZE, 8, 9).unwrap();
+            }
+            a.reset_tracked();
+            for s in &snaps[..n] {
+                a.apply_pages(s);
+            }
+            b.restore_snapshots(snaps[..n].iter().rev());
+            assert_eq!(
+                (&a.global, &a.stack, &a.dirty),
+                (&b.global, &b.stack, &b.dirty),
+                "{n}"
+            );
+        }
     }
 
     #[test]

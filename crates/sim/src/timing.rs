@@ -98,7 +98,9 @@ const RING: u64 = 4096;
 pub struct Timing {
     cfg: TimingConfig,
     cache: Cache,
-    fetched: u64,
+    /// ROB slot of the next fetched instruction (instructions fetched so
+    /// far, modulo the ROB size).
+    rob_head: usize,
     fetch_cycle: u64,
     fetched_this_cycle: u32,
     slots: Vec<(u64, u32)>, // (cycle, issued-in-cycle)
@@ -115,7 +117,7 @@ impl Timing {
     pub fn new(cfg: &TimingConfig) -> Self {
         Timing {
             cache: Cache::new(&cfg.cache),
-            fetched: 0,
+            rob_head: 0,
             fetch_cycle: 0,
             fetched_this_cycle: 0,
             slots: vec![(u64::MAX, 0); RING as usize],
@@ -148,8 +150,7 @@ impl Timing {
     /// `latency` cycles. Returns the issue cycle.
     pub fn issue(&mut self, srcs: &[Preg], dst: Option<Preg>, latency: u64) -> u64 {
         // --- fetch: bandwidth-limited and gated on a free ROB slot.
-        let rob = self.retire.len();
-        let rob_free_at = self.retire[(self.fetched as usize) % rob];
+        let rob_free_at = self.retire[self.rob_head];
         if rob_free_at > self.fetch_cycle {
             self.fetch_cycle = rob_free_at;
             self.fetched_this_cycle = 0;
@@ -186,8 +187,11 @@ impl Timing {
         }
         // --- retire: in order.
         self.last_retire = self.last_retire.max(done);
-        self.retire[(self.fetched as usize) % rob] = self.last_retire;
-        self.fetched += 1;
+        self.retire[self.rob_head] = self.last_retire;
+        self.rob_head += 1;
+        if self.rob_head == self.retire.len() {
+            self.rob_head = 0;
+        }
         t
     }
 
