@@ -10,9 +10,7 @@
 //! `--threads N` (default all cores), `--fault-model M` (default
 //! `seu-reg`; generalized models certify monolithically and bypass the
 //! store; `mem-bit` has no exhaustive plan and is rejected with
-//! guidance), `--engine decoded|jit` (execution engine — results
-//! are bit-identical, so this only changes throughput; default
-//! `decoded`), `--store DIR` persistent result store directory (default
+//! guidance), `--store DIR` persistent result store directory (default
 //! `results/store`), `--no-store` to disable the store and certify
 //! monolithically, `--sections N` incremental-reuse granularity (default
 //! 8; results are bit-identical for every value).
@@ -54,7 +52,6 @@ fn main() {
         threads,
         sections,
         fault_model: model,
-        engine: sor_bench::engine_arg(),
         ..CertifyConfig::default()
     };
     let store = ArtifactStore::new();

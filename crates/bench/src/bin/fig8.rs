@@ -5,9 +5,8 @@
 //! Flags: `--runs N` injections per cell (default 250), `--seed S`
 //! campaign seed (default `0x5EED`), `--fault-model M` (default
 //! `seu-reg`; non-default models write model-suffixed result files and
-//! tag every JSON row), `--engine decoded|jit` (execution engine —
-//! results are bit-identical, so this only changes throughput; default
-//! `decoded`), `--json` to additionally write `results/fig8.json`.
+//! tag every JSON row), `--json` to additionally write
+//! `results/fig8.json`.
 
 use sor_core::Technique;
 use sor_harness::{CampaignConfig, FigureEight};
@@ -17,17 +16,15 @@ fn main() {
     let runs = sor_bench::runs_arg(250);
     let seed = sor_bench::parsed_arg("--seed").unwrap_or(0x5EED);
     let model = sor_bench::fault_model_arg();
-    let engine = sor_bench::engine_arg();
     let want_json = std::env::args().any(|a| a == "--json");
     let cfg = CampaignConfig {
         runs,
         seed,
         fault_model: model,
-        engine,
         ..CampaignConfig::default()
     };
     eprintln!(
-        "running Figure 8: 10 benchmarks x {} techniques x {runs} injections ({model}, {engine} engine)...",
+        "running Figure 8: 10 benchmarks x {} techniques x {runs} injections ({model})...",
         Technique::FIGURE8.len()
     );
     let start = std::time::Instant::now();

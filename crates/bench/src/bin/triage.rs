@@ -8,14 +8,12 @@
 //! Flags: `--runs N` injections per technique (default 400), `--threads N`
 //! (default all cores), `--samples N` workload size (default 200),
 //! `--fault-model M` (default `seu-reg`; generalized models run
-//! monolithically, bypassing the store), `--engine decoded|jit`
-//! (execution engine — results are bit-identical, so this only changes
-//! throughput; default `decoded`),
-//! `--top N` heatmap rows per technique (default 10), `--store DIR`
-//! persistent result store directory (default `results/store`),
-//! `--no-store` to disable the store, `--sections N` section granularity
-//! for store reuse (default 8). With the store enabled the run finishes by
-//! printing its `hits= misses= warnings=` counters.
+//! monolithically, bypassing the store), `--top N` heatmap rows per
+//! technique (default 10), `--store DIR` persistent result store
+//! directory (default `results/store`), `--no-store` to disable the
+//! store, `--sections N` section granularity for store reuse (default 8).
+//! With the store enabled the run finishes by printing its
+//! `hits= misses= warnings=` counters.
 
 use sor_core::Technique;
 use sor_harness::{
@@ -47,7 +45,6 @@ fn main() {
         runs,
         threads,
         fault_model: model,
-        engine: sor_bench::engine_arg(),
         ..CampaignConfig::default()
     };
     let store = ArtifactStore::new();

@@ -23,13 +23,13 @@
 //!   experiment E9).
 //!
 //! All bins spell their common flags the same way: `--runs N`, `--seed S`,
-//! `--threads N`, `--samples N`, `--json`. The injecting bins (`fig8`,
-//! `certify`, `triage`) also take `--engine decoded|jit` — a pure
-//! throughput knob (the engines are bit-identical by contract; `jit`
-//! degrades to `decoded` off x86-64/Linux), defaulting to `decoded` so
-//! existing outputs stay byte-identical. `certify` and `triage`
-//! additionally take `--store DIR` / `--no-store` / `--sections N` for the
-//! persistent result store (see `sor_harness::ResultStore`).
+//! `--threads N`, `--samples N`, `--json`. The injecting bins run on the
+//! native jit engine, which falls back to the decoded interpreter on its
+//! own where it cannot compile (off x86-64 Linux, or when the kernel
+//! refuses an executable mapping); results are bit-identical either way.
+//! `certify` and `triage` additionally take `--store DIR` / `--no-store`
+//! / `--sections N` for the persistent result store (see
+//! `sor_harness::ResultStore`).
 //!
 //! Performance is measured by the standalone `perfbench/` package, not by
 //! these bins: it times the Figure-8 campaigns, incremental
@@ -65,14 +65,6 @@ pub fn fault_model_arg() -> sor_harness::FaultModel {
             std::process::exit(2);
         }),
     }
-}
-
-/// Parses `--engine E` (default [`sor_harness::ExecEngine::default`],
-/// i.e. `decoded`), exiting with the known engine list on an
-/// unrecognized spelling. Every injection-driving bin spells the flag
-/// the same way; the default keeps existing outputs byte-identical.
-pub fn engine_arg() -> sor_harness::ExecEngine {
-    parsed_arg("--engine").unwrap_or_default()
 }
 
 /// Parses `--runs N` with a default.

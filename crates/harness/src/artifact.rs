@@ -60,8 +60,8 @@ pub struct Artifact {
     /// shares one image instead of re-decoding per [`sor_sim::Runner`].
     pub decoded: Arc<DecodedProg>,
     /// The native image for the jit engine, compiled lazily on the first
-    /// [`Artifact::jit_for`] request so decoded/legacy consumers never pay
-    /// for it. `Some(None)` records a failed compilation (degraded to the
+    /// [`Artifact::jit_for`] request so the decoded/legacy oracles never
+    /// pay for it. `Some(None)` records a failed compilation (degraded to the
     /// decoded interpreter) so it is not retried per runner.
     jit: OnceLock<Option<Arc<JitProg>>>,
     /// Per-pass instrumentation from the pipeline run.
@@ -70,9 +70,10 @@ pub struct Artifact {
 
 impl Artifact {
     /// The shared native image for `engine`: compiles (once, memoized)
-    /// under [`ExecEngine::Jit`], `None` under the other engines or when
-    /// native compilation is unavailable (the runner then degrades to the
-    /// decoded interpreter).
+    /// under [`ExecEngine::Jit`], the default, and is `None` under the
+    /// oracle engines or when native compilation is unavailable (the
+    /// runner then degrades to the decoded interpreter). Taking the engine
+    /// is the test hook that lets differential tests skip the compile.
     pub fn jit_for(&self, engine: ExecEngine) -> Option<Arc<JitProg>> {
         if engine != ExecEngine::Jit {
             return None;

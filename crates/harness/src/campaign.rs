@@ -27,10 +27,11 @@ pub struct CampaignConfig {
     /// default) auto-sizes from the golden run length.
     pub checkpoint_interval: u64,
     /// Interpreter core the injection machines run on (see
-    /// [`ExecEngine`]): the predecoded micro-op engine by default, the
-    /// legacy step path as the differential-testing oracle, or the native
-    /// jit engine for paper-scale throughput (bit-identical results on
-    /// all three).
+    /// [`ExecEngine`]): the native jit engine by default, which degrades
+    /// to the decoded interpreter where it cannot compile. The decoded
+    /// and legacy cores are the differential-testing oracles; this field
+    /// is their test hook, not a throughput knob (all three engines give
+    /// bit-identical results).
     pub engine: ExecEngine,
     /// Transform configuration.
     pub transform: sor_core::TransformConfig,

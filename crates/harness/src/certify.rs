@@ -56,10 +56,11 @@ pub struct CertifyConfig {
     /// campaign for it.
     pub fault_model: FaultModel,
     /// Execution engine for the golden run and every injection (see
-    /// [`ExecEngine`]). All three engines are bit-identical by contract —
-    /// the differential tests pin it — so this is a throughput knob, not a
-    /// semantic one; [`ExecEngine::Jit`] degrades to the decoded
-    /// interpreter where native compilation is unavailable.
+    /// [`ExecEngine`]): [`ExecEngine::Jit`] by default, degrading to the
+    /// decoded interpreter where native compilation is unavailable. All
+    /// three engines are bit-identical by contract (the differential
+    /// tests pin it), so the field is the oracle/test hook those tests
+    /// use, not a throughput knob.
     pub engine: ExecEngine,
 }
 

@@ -86,10 +86,11 @@ fn decoded_engine_matches_legacy_bit_for_bit() {
             let label = format!("{}/{technique}", w.name());
             // Interval 7 forces many mid-frame, mid-loop snapshots even on
             // these small runs.
-            let decoded = Runner::with_decoded(
+            let decoded = Runner::with_images(
                 &artifact.program,
                 &engine_cfg(ExecEngine::Decoded, 7),
                 Some(Arc::clone(&artifact.decoded)),
+                None,
             );
             let legacy = Runner::new(&artifact.program, &engine_cfg(ExecEngine::Legacy, 7));
             let jit = Runner::with_images(
@@ -285,10 +286,11 @@ fn generalized_fault_models_match_across_engines() {
     };
     for technique in [Technique::SwiftR, Technique::Cfcss] {
         let artifact = store.get(&w, technique, &Default::default(), &LowerConfig::default());
-        let decoded = Runner::with_decoded(
+        let decoded = Runner::with_images(
             &artifact.program,
             &engine_cfg(ExecEngine::Decoded, 7),
             Some(Arc::clone(&artifact.decoded)),
+            None,
         );
         let legacy = Runner::new(&artifact.program, &engine_cfg(ExecEngine::Legacy, 7));
         let jit = Runner::with_images(
@@ -347,10 +349,11 @@ fn generalized_fault_models_match_across_engines() {
 fn fuzz_models_cell(w: &dyn Workload, technique: Technique, seed: u64) {
     let store = ArtifactStore::new();
     let artifact = store.get(w, technique, &Default::default(), &LowerConfig::default());
-    let decoded = Runner::with_decoded(
+    let decoded = Runner::with_images(
         &artifact.program,
         &engine_cfg(ExecEngine::Decoded, 7),
         Some(Arc::clone(&artifact.decoded)),
+        None,
     );
     let legacy = Runner::new(&artifact.program, &engine_cfg(ExecEngine::Legacy, 7));
     let jit = Runner::with_images(
@@ -411,10 +414,11 @@ fn decoded_checkpointed_replay_matches_legacy_from_scratch() {
         &Default::default(),
         &LowerConfig::default(),
     );
-    let decoded = Runner::with_decoded(
+    let decoded = Runner::with_images(
         &artifact.program,
         &engine_cfg(ExecEngine::Decoded, 5),
         Some(Arc::clone(&artifact.decoded)),
+        None,
     );
     let jit = Runner::with_images(
         &artifact.program,

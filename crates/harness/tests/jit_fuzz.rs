@@ -271,10 +271,11 @@ fn fuzz_jit_cell(seed: u64, technique: Technique, interval: u64) {
         ..MachineConfig::default()
     };
     let legacy = Runner::new(&program, &cfg(ExecEngine::Legacy));
-    let dec = Runner::with_decoded(
+    let dec = Runner::with_images(
         &program,
         &cfg(ExecEngine::Decoded),
         Some(Arc::clone(&decoded)),
+        None,
     );
     let jit = Runner::with_images(&program, &cfg(ExecEngine::Jit), Some(decoded), None);
     let label = format!("seed {seed:#x}/{technique}/interval {interval}");

@@ -12,9 +12,7 @@
 //! Submission flags: `--kind certify|triage|campaign`, `--technique T`
 //! (any spelling: `swiftr`, `swift-r`, `TRUMP/SWIFT-R`), `--fault-model M`
 //! (`seu-reg` default, `pc-corrupt`, `mem-bit`, `multi-bit`,
-//! `transient-alu`), `--engine decoded|jit` (execution engine;
-//! results are bit-identical, `jit` degrades to `decoded` off x86-64),
-//! `--workload W`, `--samples N`, `--runs N`,
+//! `transient-alu`), `--workload W`, `--samples N`, `--runs N`,
 //! `--seed N`, `--sections N`, `--threads N` (at most 256),
 //! `--workloads a,b,c` (campaign suite), `--pause-after N`.
 
@@ -40,7 +38,6 @@ fn spec_from_args() -> String {
         ("--technique", "technique"),
         ("--workload", "workload"),
         ("--fault-model", "fault_model"),
-        ("--engine", "engine"),
     ] {
         if let Some(v) = arg_value(flag) {
             fields.push(format!("\"{key}\": \"{v}\""));

@@ -157,7 +157,6 @@ fn exec_certify(
         threads: spec.threads,
         sections: spec.sections,
         fault_model: spec.fault_model,
-        engine: spec.engine,
         ..CertifyConfig::default()
     };
     let artifact = state.artifacts.get(
@@ -226,7 +225,6 @@ fn exec_triage(
         seed: spec.seed,
         threads: spec.threads,
         fault_model: spec.fault_model,
-        engine: spec.engine,
         ..CampaignConfig::default()
     };
     let status = run_triaged_campaign_resumable(
@@ -294,7 +292,6 @@ fn exec_campaign(
         seed: spec.seed,
         threads: spec.threads,
         fault_model: spec.fault_model,
-        engine: spec.engine,
         ..CampaignConfig::default()
     };
     let total = (suite.len() * techniques.len()) as u64;

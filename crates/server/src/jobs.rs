@@ -12,7 +12,7 @@
 
 use crate::json::{escape, Json};
 use sor_core::Technique;
-use sor_harness::{CampaignResult, ExecEngine, FaultModel, OutcomeCounts, RunCtrl};
+use sor_harness::{CampaignResult, FaultModel, OutcomeCounts, RunCtrl};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -140,12 +140,6 @@ pub struct JobSpec {
     /// (`seu-reg`) keeps the job byte-identical to the legacy service;
     /// generalized models execute monolithically (no store reuse).
     pub fault_model: FaultModel,
-    /// Execution engine every run in the job uses. The default keeps
-    /// results byte-identical to the legacy service (engines are
-    /// bit-identical by contract, so this is purely a throughput knob);
-    /// `jit` degrades to the decoded interpreter where native
-    /// compilation is unavailable.
-    pub engine: ExecEngine,
     /// Workload name for certify/triage jobs.
     pub workload: String,
     /// `adpcmdec` sample count (other kernels run at their defaults).
@@ -172,7 +166,9 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// Parses and validates a submission body.
+    /// Parses and validates a submission body. Unknown keys are ignored,
+    /// so bodies and persisted jobs from older builds that still carry a
+    /// retired `"lanes"` or `"engine"` key load and run unchanged.
     pub fn from_json(v: &Json) -> Result<JobSpec, String> {
         let kind_str = v
             .get("kind")
@@ -186,10 +182,6 @@ impl JobSpec {
         let fault_model = match v.get("fault_model").and_then(Json::as_str) {
             Some(m) => FaultModel::parse(m).ok_or_else(|| format!("unknown fault_model {m:?}"))?,
             None => FaultModel::SeuReg,
-        };
-        let engine = match v.get("engine").and_then(Json::as_str) {
-            Some(e) => e.parse::<ExecEngine>().map_err(|err| err.to_string())?,
-            None => ExecEngine::default(),
         };
         let u64_field = |key: &str, default: u64| -> Result<u64, String> {
             match v.get(key) {
@@ -233,7 +225,6 @@ impl JobSpec {
             kind,
             technique,
             fault_model,
-            engine,
             workload: v
                 .get("workload")
                 .and_then(Json::as_str)
@@ -352,7 +343,6 @@ impl Job {
         format!(
             "{{\"id\": {}, \"kind\": \"{}\", \"state\": \"{}\", \
              \"technique\": \"{}\", \"fault_model\": \"{}\", \
-             \"engine\": \"{}\", \
              \"workload\": \"{}\", \"samples\": {}, \
              \"wseed\": {}, \"runs\": {}, \"seed\": {}, \"sections\": {}, \
              \"threads\": {}, \"workloads\": [{}], \
@@ -366,7 +356,6 @@ impl Job {
             self.state.as_str(),
             s.technique,
             s.fault_model.slug(),
-            s.engine.slug(),
             escape(&s.workload),
             s.samples,
             s.wseed,
@@ -567,7 +556,6 @@ mod tests {
             kind,
             technique: Technique::TrumpSwiftR,
             fault_model: FaultModel::MemBit,
-            engine: ExecEngine::Jit,
             workload: "adpcmdec".to_string(),
             samples: 8,
             wseed: 1,
@@ -634,7 +622,6 @@ mod tests {
         assert_eq!(job.state, JobState::Paused, "interrupted running job");
         assert_eq!(job.spec.technique, Technique::TrumpSwiftR);
         assert_eq!(job.spec.fault_model, FaultModel::MemBit);
-        assert_eq!(job.spec.engine, ExecEngine::Jit, "engine round-trips");
         // pause_after is dropped on crash recovery so a resume runs to
         // completion instead of instantly re-pausing on the probe.
         assert_eq!(job.spec.pause_after, None);
@@ -657,14 +644,13 @@ mod tests {
         let ok = Json::parse(
             r#"{"kind": "triage", "technique": "trump-swift-r", "runs": 99,
                 "workloads": ["mcf"], "pause_after": 3,
-                "fault_model": "pc_corrupt", "engine": "jit"}"#,
+                "fault_model": "pc_corrupt"}"#,
         )
         .unwrap();
         let s = JobSpec::from_json(&ok).unwrap();
         assert_eq!(s.kind, JobKind::Triage);
         assert_eq!(s.technique, Technique::TrumpSwiftR);
         assert_eq!(s.fault_model, FaultModel::PcCorrupt);
-        assert_eq!(s.engine, ExecEngine::Jit);
         assert_eq!(s.runs, 99);
         assert_eq!(s.workloads, vec!["mcf".to_string()]);
         assert_eq!(s.pause_after, Some(3));
@@ -673,7 +659,6 @@ mod tests {
         let bare = JobSpec::from_json(&bare).unwrap();
         assert_eq!(bare.technique, Technique::Cfcss);
         assert_eq!(bare.fault_model, FaultModel::SeuReg, "default model");
-        assert_eq!(bare.engine, ExecEngine::default(), "default engine");
 
         for bad in [
             r#"{}"#,
@@ -682,8 +667,6 @@ mod tests {
             r#"{"kind": "certify", "samples": -3}"#,
             r#"{"kind": "campaign", "workloads": [7]}"#,
             r#"{"kind": "certify", "fault_model": "cosmic-ray"}"#,
-            r#"{"kind": "certify", "engine": "warp"}"#,
-            r#"{"kind": "certify", "engine": "legacy"}"#,
         ] {
             let v = Json::parse(bad).unwrap();
             assert!(JobSpec::from_json(&v).is_err(), "accepted {bad}");

@@ -93,8 +93,7 @@ fn hostile_requests_get_structured_errors_and_the_server_survives() {
 
     // Invalid job JSON → 400 with the parser's message, not a panic. The
     // oversized jobs would each make the worker allocate (or spawn) in
-    // proportion and abort the process; the legacy stepper is a test
-    // oracle, not an engine a job may select.
+    // proportion and abort the process.
     for body in [
         "{",
         "[]",
@@ -104,7 +103,6 @@ fn hostile_requests_get_structured_errors_and_the_server_survives() {
         "{\"kind\": \"campaign\", \"runs\": 1000000000000}",
         "{\"kind\": \"certify\", \"samples\": 100000000000}",
         "{\"kind\": \"certify\", \"threads\": 257}",
-        "{\"kind\": \"certify\", \"engine\": \"legacy\"}",
     ] {
         let r = raw(
             &addr,

@@ -95,8 +95,10 @@ fn certify_job_bytes_match_the_batch_bin() {
 }
 
 /// Bodies and persisted `jobs.json` records written by builds that still
-/// carried a `"lanes"` job field parse and load; the key is ignored, so
-/// the job's artifact is byte-identical to the same job without it.
+/// carried a `"lanes"` or `"engine"` job field parse and load; both keys
+/// are ignored (whatever their value), so every job's artifact is
+/// byte-identical to the same job without them, and the rewritten
+/// registry drops them.
 #[test]
 fn jobs_carrying_a_lanes_key_still_run_byte_identically() {
     let dir = temp_dir("lanes-key");
@@ -104,8 +106,8 @@ fn jobs_carrying_a_lanes_key_still_run_byte_identically() {
     let body =
         r#"{"kind": "certify", "technique": "swift-r", "samples": 4, "sections": 2, "threads": 2"#;
 
-    // A persisted queued job in the older registry format, `"lanes"` and
-    // all: loading re-enqueues it.
+    // A persisted queued job in the older registry format, `"engine"`,
+    // `"lanes"` and all: loading re-enqueues it.
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(
         dir.join("jobs.json"),
@@ -117,22 +119,35 @@ fn jobs_carrying_a_lanes_key_still_run_byte_identically() {
     .unwrap();
     let (handle, client) = spawn(&dir);
     let loaded = client.wait(1, &["done"]).expect("persisted job runs");
-    assert!(
-        loaded.get("lanes").is_none(),
-        "the key is not carried forward"
-    );
+    for key in ["lanes", "engine"] {
+        assert!(loaded.get(key).is_none(), "{key} is not carried forward");
+    }
 
-    let with = client
-        .submit(&format!(r#"{body}, "lanes": 8}}"#))
-        .expect("submit with lanes");
-    let without = client.submit(&format!("{body}}}")).expect("submit");
-    for id in [1, with, without] {
-        client.wait(id, &["done"]).expect("wait");
+    let mut ids = vec![1];
+    for extra in [
+        r#""lanes": 8"#,
+        r#""engine": "decoded""#,
+        r#""engine": "legacy""#,
+        r#""engine": "warp""#,
+    ] {
+        let id = client
+            .submit(&format!("{body}, {extra}}}"))
+            .unwrap_or_else(|e| panic!("submit with {extra}: {e}"));
+        ids.push(id);
+    }
+    ids.push(client.submit(&format!("{body}}}")).expect("submit"));
+    for id in ids {
+        let job = client.wait(id, &["done"]).expect("wait");
+        assert!(job.get("engine").is_none(), "job {id}: {job:?}");
         assert_eq!(client.result_bytes(id).expect("result"), oracle, "job {id}");
     }
 
     handle.shutdown();
     handle.join();
+    let registry = std::fs::read_to_string(dir.join("jobs.json")).unwrap();
+    for key in ["\"lanes\"", "\"engine\""] {
+        assert!(!registry.contains(key), "rewritten registry keeps {key}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

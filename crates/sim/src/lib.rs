@@ -23,16 +23,20 @@
 //!   into straight-line superblocks, and the hot loop becomes a dense
 //!   array index plus jump-table dispatch with fault/trace/checkpoint
 //!   observation hoisted to superblock boundaries at exact dynamic-slot
-//!   granularity. Selected by [`MachineConfig::engine`] (the default);
-//!   the legacy tree-matching interpreter remains as the
-//!   differential-testing oracle and the timing-model driver.
+//!   granularity. It is the span loop the jit engine drives and its
+//!   fallback; [`ExecEngine::Decoded`] runs it alone as a
+//!   differential-testing oracle, and the legacy tree-matching
+//!   interpreter remains as the reference oracle and the timing-model
+//!   driver.
 //! * [`JitProg`] — superblocks compiled to native x86-64 by a
-//!   dependency-free template emitter ([`ExecEngine::Jit`]): a compiled
-//!   span either runs to its edge or side-exits to the interpreter, so
-//!   fault slots, probes, fuel, traces and checkpoints are serviced at
-//!   span edges exactly as the decoded engine does and every observable
-//!   stays bit-identical. Falls back to the decoded interpreter (with a
-//!   one-time warning) on targets the emitter does not cover.
+//!   dependency-free template emitter ([`ExecEngine::Jit`], the default
+//!   [`MachineConfig::engine`]): a compiled span either runs to its edge
+//!   or side-exits to the interpreter, so fault slots, probes, fuel,
+//!   traces and checkpoints are serviced at span edges exactly as the
+//!   decoded engine does and every observable stays bit-identical. Falls
+//!   back to the decoded interpreter (with a one-time warning) on targets
+//!   the emitter does not cover or where the kernel refuses an executable
+//!   mapping.
 //! * [`Timing`] — an in-order, issue-width-limited scoreboard with an L1-D
 //!   cache model. It reproduces the two effects the paper's performance
 //!   numbers hinge on: spare ILP absorbing independent redundant

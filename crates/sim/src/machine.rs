@@ -18,22 +18,25 @@ use std::sync::Arc;
 /// Which interpreter core executes the program.
 ///
 /// All engines are pinned bit-for-bit equivalent on every observable
-/// (results, fault outcomes, trace events, checkpoint snapshots); the
-/// legacy path is retained as the differential-testing oracle and as the
-/// only core that drives the timing model.
+/// (results, fault outcomes, trace events, checkpoint snapshots). The
+/// default, [`ExecEngine::Jit`], is the production engine; the decoded
+/// and legacy cores are the differential-testing oracles, chosen only
+/// from Rust, and the legacy core is the only one that drives the timing
+/// model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecEngine {
     /// Predecoded micro-op engine with superblock dispatch (see
     /// [`crate::DecodedProg`]). Functional-only: timing runs fall back to
     /// the legacy core automatically.
-    #[default]
     Decoded,
     /// The original tree-matching interpreter over [`sor_ir::PInst`].
     Legacy,
     /// Superblocks compiled to native x86-64 (see [`crate::JitProg`]),
     /// driven through the decoded engine's span loop so every observation
     /// stays at a span edge. Falls back to [`ExecEngine::Decoded`] (with a
-    /// one-time warning) on targets the emitter does not cover.
+    /// one-time warning) on targets the emitter does not cover or where
+    /// the kernel refuses an executable mapping.
+    #[default]
     Jit,
 }
 
@@ -41,33 +44,25 @@ impl ExecEngine {
     /// All engines, in oracle order (legacy is the reference).
     pub const ALL: [ExecEngine; 3] = [ExecEngine::Legacy, ExecEngine::Decoded, ExecEngine::Jit];
 
-    /// The flag/JSON slug (`legacy` / `decoded` / `jit`).
-    pub fn slug(self) -> &'static str {
-        match self {
-            ExecEngine::Decoded => "decoded",
-            ExecEngine::Legacy => "legacy",
-            ExecEngine::Jit => "jit",
+    /// The images this engine executes from, reusing whichever are
+    /// supplied and building the rest: none for the legacy core, the
+    /// predecoded image for the span engines, plus the native image under
+    /// the jit when it compiles.
+    pub(crate) fn images(
+        self,
+        prog: &Program,
+        decoded: Option<Arc<DecodedProg>>,
+        jit: Option<Arc<crate::JitProg>>,
+    ) -> (Option<Arc<DecodedProg>>, Option<Arc<crate::JitProg>>) {
+        if self == ExecEngine::Legacy {
+            return (None, None);
         }
-    }
-}
-
-impl std::fmt::Display for ExecEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.slug())
-    }
-}
-
-/// Parses a flag/JSON engine name. Only `decoded` and `jit` are
-/// selectable: [`ExecEngine::Legacy`] is the differential oracle and the
-/// timing core, constructed in Rust, never chosen by a flag or a job.
-impl std::str::FromStr for ExecEngine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        [ExecEngine::Decoded, ExecEngine::Jit]
-            .into_iter()
-            .find(|e| e.slug() == s)
-            .ok_or_else(|| format!("unknown engine '{s}' (expected decoded, jit)"))
+        let decoded = decoded.unwrap_or_else(|| Arc::new(DecodedProg::new(prog)));
+        let jit = match self {
+            ExecEngine::Jit => jit.or_else(|| crate::JitProg::try_compile(&decoded, prog)),
+            _ => None,
+        };
+        (Some(decoded), jit)
     }
 }
 
@@ -87,9 +82,10 @@ pub struct MachineConfig {
     /// golden run length, any other value is used as-is. Checkpointing is
     /// functional-only and is ignored when the timing model is enabled.
     pub checkpoint_interval: u64,
-    /// Interpreter core selection; see [`ExecEngine`]. The decoded engine
-    /// is functional-only, so it silently defers to the legacy core when
-    /// the timing model is enabled.
+    /// Interpreter core; see [`ExecEngine`]. Defaults to the jit engine;
+    /// the other engines are differential-testing oracles. The span
+    /// engines (decoded, jit) are functional-only, so they silently defer
+    /// to the legacy core when the timing model is enabled.
     pub engine: ExecEngine,
 }
 
@@ -232,12 +228,13 @@ pub struct Machine<'p> {
     pub(crate) injected: bool,
     pub(crate) fault_pc: Option<usize>,
     /// `Some` exactly when this machine executes on the decoded span loop:
-    /// the config selected [`ExecEngine::Decoded`] or [`ExecEngine::Jit`]
-    /// and the timing model is off.
+    /// the config selected a span engine ([`ExecEngine::Jit`], the
+    /// default, or [`ExecEngine::Decoded`]) and the timing model is off.
     pub(crate) decoded: Option<Arc<DecodedProg>>,
-    /// `Some` when the config selected [`ExecEngine::Jit`] and native
-    /// compilation succeeded; the decoded span loop then dispatches full
-    /// in-budget runs to native code and interprets everything else.
+    /// `Some` when the config selected [`ExecEngine::Jit`] (the default)
+    /// and native compilation succeeded; the decoded span loop then
+    /// dispatches in-budget spans to native code and interprets
+    /// everything else.
     pub(crate) jit: Option<Arc<crate::JitProg>>,
 }
 
@@ -246,40 +243,20 @@ pub(crate) const SP_IDX: usize = 1;
 pub(crate) const MAX_FRAMES: usize = 1 << 16;
 
 impl<'p> Machine<'p> {
-    /// Prepares a machine to run `prog`, predecoding the program when the
-    /// config selects the decoded engine.
+    /// Prepares a machine to run `prog`, predecoding (and, under the
+    /// default jit engine, compiling) the program when the config selects
+    /// a span engine.
     ///
     /// Callers constructing many machines over the same program (campaign
-    /// workers) should predecode once and share it via
-    /// [`Machine::with_decoded`] instead of paying the translation per
+    /// workers) should predecode and compile once and share the images via
+    /// [`Machine::with_images`] instead of paying the translation per
     /// machine.
     pub fn new(prog: &'p Program, cfg: &MachineConfig) -> Self {
-        let wants_spans = matches!(cfg.engine, ExecEngine::Decoded | ExecEngine::Jit);
-        let decoded =
-            (wants_spans && cfg.timing.is_none()).then(|| Arc::new(DecodedProg::new(prog)));
-        let jit = match (&decoded, cfg.engine) {
-            (Some(d), ExecEngine::Jit) => crate::JitProg::try_compile(d, prog),
-            _ => None,
+        let (decoded, jit) = match cfg.timing {
+            None => cfg.engine.images(prog, None, None),
+            Some(_) => (None, None),
         };
         Self::build(prog, cfg, decoded, jit)
-    }
-
-    /// Prepares a machine to run `prog` on the decoded engine, sharing a
-    /// predecoded image instead of re-translating. When the config selects
-    /// [`ExecEngine::Jit`] the native image is compiled here (falling back
-    /// to the interpreter on failure); use [`Machine::with_images`] to
-    /// share a compiled image across machines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `decoded` was not produced from `prog` (length mismatch)
-    /// or if the config enables the timing model, which the decoded engine
-    /// does not drive.
-    pub fn with_decoded(prog: &'p Program, cfg: &MachineConfig, decoded: Arc<DecodedProg>) -> Self {
-        let jit = (cfg.engine == ExecEngine::Jit)
-            .then(|| crate::JitProg::try_compile(&decoded, prog))
-            .flatten();
-        Self::with_images(prog, cfg, decoded, jit)
     }
 
     /// Prepares a machine sharing both a predecoded image and (optionally)

@@ -4,7 +4,7 @@ use crate::checkpoint::CheckpointStore;
 use crate::decode::DecodedProg;
 use crate::exec::DeadFlip;
 use crate::fault::{FaultSpec, GenFault};
-use crate::machine::{ExecEngine, Machine, MachineConfig, RunResult};
+use crate::machine::{Machine, MachineConfig, RunResult};
 use crate::outcome::{classify, Outcome};
 use crate::trace::TraceSink;
 use sor_ir::ProtectionRole;
@@ -79,13 +79,13 @@ pub struct Runner<'p> {
     pub(crate) golden: RunResult,
     pub(crate) ckpts: CheckpointStore,
     /// Shared predecoded image, `Some` iff the config selected a
-    /// span-based engine (decoded or jit): translated once here (or
-    /// supplied by the caller) and shared by every machine this runner
-    /// creates.
+    /// span-based engine (the default jit, or decoded): translated once
+    /// here (or supplied by the caller) and shared by every machine this
+    /// runner creates.
     decoded: Option<Arc<DecodedProg>>,
     /// Shared native image, `Some` iff the config selected the jit engine
-    /// and compilation succeeded (otherwise machines degrade to the
-    /// decoded interpreter).
+    /// (the default) and compilation succeeded; otherwise machines
+    /// degrade to the decoded interpreter.
     jit: Option<Arc<crate::JitProg>>,
 }
 
@@ -101,32 +101,16 @@ impl<'p> Runner<'p> {
     /// Panics if the golden run itself does not complete — a program that
     /// faults without any injected fault is a workload bug.
     pub fn new(prog: &'p sor_ir::Program, cfg: &MachineConfig) -> Self {
-        Self::with_decoded(prog, cfg, None)
+        Self::with_images(prog, cfg, None, None)
     }
 
-    /// Like [`Runner::new`], but reuses an already-predecoded image (the
-    /// harness artifact store memoizes one per lowered program) instead of
-    /// translating again. `decoded` is ignored when the config selects the
-    /// legacy engine; `None` under the decoded engine translates here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a supplied `decoded` was not produced from `prog`, or if
-    /// the golden run does not complete (see [`Runner::new`]).
-    pub fn with_decoded(
-        prog: &'p sor_ir::Program,
-        cfg: &MachineConfig,
-        decoded: Option<Arc<DecodedProg>>,
-    ) -> Self {
-        Self::with_images(prog, cfg, decoded, None)
-    }
-
-    /// Like [`Runner::with_decoded`], but additionally reuses an
-    /// already-compiled native image under [`ExecEngine::Jit`] (the
-    /// harness artifact store memoizes one per lowered program). `jit` is
-    /// ignored under the other engines; `None` under the jit engine
-    /// compiles here, degrading to the decoded interpreter (with a
-    /// one-time warning) when native compilation is unavailable.
+    /// Like [`Runner::new`], but reuses already-built images (the harness
+    /// artifact store memoizes one predecoded and one compiled image per
+    /// lowered program) instead of translating again. Both are ignored
+    /// under [`crate::ExecEngine::Legacy`]; `jit` is ignored under
+    /// [`crate::ExecEngine::Decoded`]. A `None` image the engine needs is built
+    /// here; under the jit engine (the default) a failed native compile
+    /// degrades to the decoded interpreter with a one-time warning.
     ///
     /// # Panics
     ///
@@ -138,13 +122,7 @@ impl<'p> Runner<'p> {
         decoded: Option<Arc<DecodedProg>>,
         jit: Option<Arc<crate::JitProg>>,
     ) -> Self {
-        let wants_spans = matches!(cfg.engine, ExecEngine::Decoded | ExecEngine::Jit);
-        let decoded =
-            wants_spans.then(|| decoded.unwrap_or_else(|| Arc::new(DecodedProg::new(prog))));
-        let jit = match (&decoded, cfg.engine) {
-            (Some(d), ExecEngine::Jit) => jit.or_else(|| crate::JitProg::try_compile(d, prog)),
-            _ => None,
-        };
+        let (decoded, jit) = cfg.engine.images(prog, decoded, jit);
         // The golden pass honours the caller's timing config; the span
         // engines are functional-only, so timing goldens run legacy.
         let golden_machine = match &decoded {
@@ -201,14 +179,14 @@ impl<'p> Runner<'p> {
         }
     }
 
-    /// The shared predecoded image, `Some` iff a span engine (decoded or
-    /// jit) is selected.
+    /// The shared predecoded image, `Some` iff a span engine (the default
+    /// jit, or decoded) is selected.
     pub fn decoded(&self) -> Option<&Arc<DecodedProg>> {
         self.decoded.as_ref()
     }
 
-    /// The shared native image, `Some` iff the jit engine is selected and
-    /// compilation succeeded.
+    /// The shared native image, `Some` iff the jit engine (the default) is
+    /// selected and compilation succeeded.
     pub fn jit(&self) -> Option<&Arc<crate::JitProg>> {
         self.jit.as_ref()
     }
@@ -395,6 +373,7 @@ impl Replayer<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::ExecEngine;
     use sor_ir::{MemWidth, ModuleBuilder, Operand, Width};
     use sor_regalloc::{lower, LowerConfig};
 
@@ -591,14 +570,14 @@ mod tests {
                 ..MachineConfig::default()
             },
         );
-        let decoded = Runner::new(&prog, &MachineConfig::default());
-        let jit = Runner::new(
+        let decoded = Runner::new(
             &prog,
             &MachineConfig {
-                engine: ExecEngine::Jit,
+                engine: ExecEngine::Decoded,
                 ..MachineConfig::default()
             },
         );
+        let jit = Runner::new(&prog, &MachineConfig::default());
         let golden_len = legacy.golden().dyn_instrs;
         let g0 = prog.globals.first().map(|g| g.addr).unwrap_or(0);
         let effects = [
@@ -740,12 +719,16 @@ mod tests {
     #[test]
     fn jit_config_without_native_image_falls_back_to_decoded() {
         let prog = looping_program();
-        let cfg = MachineConfig {
-            engine: ExecEngine::Jit,
-            ..MachineConfig::default()
-        };
+        let cfg = MachineConfig::default();
         let d = Arc::new(DecodedProg::new(&prog));
-        let reference = Machine::new(&prog, &MachineConfig::default()).run(None);
+        let reference = Machine::new(
+            &prog,
+            &MachineConfig {
+                engine: ExecEngine::Decoded,
+                ..cfg.clone()
+            },
+        )
+        .run(None);
         let fallback = Machine::with_images(&prog, &cfg, d, None).run(None);
         assert_eq!(reference, fallback);
     }
@@ -762,13 +745,7 @@ mod tests {
             crate::JitProg::compile(&d, &prog),
             Err(crate::JitError::Unsupported)
         ));
-        let r = Runner::new(
-            &prog,
-            &MachineConfig {
-                engine: ExecEngine::Jit,
-                ..MachineConfig::default()
-            },
-        );
+        let r = Runner::new(&prog, &MachineConfig::default());
         assert!(r.jit().is_none());
         assert_eq!(r.golden().output, vec![6]);
     }

@@ -14,6 +14,7 @@
 use software_only_recovery::prelude::*;
 use software_only_recovery::recovery::{trump_protected_set, Technique};
 use software_only_recovery::stats::OutcomeCounts;
+use sor_rng::SmallRng;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -163,23 +164,14 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     let runner = sor_sim::Runner::new(&program, &MachineConfig::default());
     let golden_len = runner.golden().dyn_instrs;
 
-    // The paper's distribution: uniform (dynamic instruction, register, bit).
-    let mut state = seed.max(1);
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let regs: Vec<u8> = FaultSpec::injectable_regs().collect();
+    // The paper's distribution: uniform (dynamic instruction, register,
+    // bit), drawn by the campaign sampler and replayed through one reused
+    // machine arena.
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut replayer = runner.replayer();
     let mut counts = OutcomeCounts::default();
     for _ in 0..runs {
-        let f = FaultSpec::new(
-            next() % golden_len.max(1),
-            regs[(next() % regs.len() as u64) as usize],
-            (next() % 64) as u8,
-        );
-        let (o, res) = runner.run_fault(f);
+        let (o, res) = replayer.run_fault(FaultSpec::sample(&mut rng, golden_len));
         counts.record(o, res.probes.vote_repairs + res.probes.trump_recovers);
     }
     println!("technique     : {technique}");

@@ -8,6 +8,7 @@
 //! programs with calls, div/rem side exits and data-dependent branches
 //! inside the loop bodies.
 
+use sor_harness::{CampaignConfig, CertifyConfig};
 use sor_ir::{AluOp, CmpOp, MemWidth, ModuleBuilder, Operand, Program, RegClass, Width};
 use sor_regalloc::{lower, LowerConfig};
 use sor_sim::{
@@ -139,7 +140,7 @@ fn config(engine: ExecEngine, fuel: u64) -> MachineConfig {
 fn run_everywhere(p: &Program, fuel: u64, fault: GenFault) -> RunResult {
     let results = ENGINES.map(|engine| Machine::new(p, &config(engine, fuel)).run(Some(fault)));
     for (e, r) in ENGINES.iter().zip(&results).skip(1) {
-        assert_eq!(*r, results[0], "{fault}: {} differs from legacy", e.slug());
+        assert_eq!(*r, results[0], "{fault}: {e:?} differs from legacy");
     }
     results.into_iter().next().expect("three engines")
 }
@@ -174,7 +175,7 @@ fn checkpoints_match_at_every_interval() {
         assert_eq!(runs[0].0.dyn_instrs, len);
         assert_eq!(runs[0].1.len() as u64, len.div_ceil(interval), "{interval}");
         for (e, run) in ENGINES.iter().zip(&runs).skip(1) {
-            assert_eq!(*run, runs[0], "interval {interval}: {}", e.slug());
+            assert_eq!(*run, runs[0], "interval {interval}: {e:?}");
         }
     }
 }
@@ -217,5 +218,41 @@ fn faults_at_every_slot_match_the_interpreters() {
             1_000_000,
             GenFault::new(at, FaultEffect::RegXor { reg, mask }),
         );
+    }
+}
+
+/// Every production entry point runs the jit engine unless a test asks
+/// for an oracle: the machine, campaign and certification defaults all
+/// select it, and on x86-64 Linux a default runner really holds a native
+/// image whose golden and fault results equal the legacy core's.
+#[test]
+fn production_defaults_run_native() {
+    assert_eq!(MachineConfig::default().engine, ExecEngine::Jit);
+    assert_eq!(CampaignConfig::default().engine, ExecEngine::Jit);
+    assert_eq!(CertifyConfig::default().engine, ExecEngine::Jit);
+
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    {
+        let (p, len) = program_and_len(24);
+        let native = sor_sim::Runner::new(&p, &MachineConfig::default());
+        assert!(
+            native.jit().is_some(),
+            "the default runner compiles natively"
+        );
+        let legacy = sor_sim::Runner::new(
+            &p,
+            &MachineConfig {
+                engine: ExecEngine::Legacy,
+                ..MachineConfig::default()
+            },
+        );
+        assert_eq!(native.golden(), legacy.golden());
+        let (mut rn, mut rl) = (native.replayer(), legacy.replayer());
+        for at in (0..len).step_by(13) {
+            for reg in INJECTABLE_REGS {
+                let fault = GenFault::new(at, FaultEffect::RegXor { reg, mask: 1 << 17 });
+                assert_eq!(rn.run_fault(fault), rl.run_fault(fault), "{fault}");
+            }
+        }
     }
 }
