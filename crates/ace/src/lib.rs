@@ -30,7 +30,7 @@
 //!
 //! The execution side — running class representatives through
 //! checkpoint-and-replay across worker threads — lives in
-//! `sor_harness::run_certified_campaign`; this crate holds the analysis
+//! `sor_harness::certify_resumable`; this crate holds the analysis
 //! and the exactness argument (see DESIGN.md §11).
 
 mod incremental;

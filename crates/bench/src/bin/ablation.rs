@@ -12,7 +12,9 @@
 //!    result: reliability within noise of plain SWIFT-R, at extra cost.
 
 use sor_core::{apply_mask, apply_swiftr, Technique, TransformConfig};
-use sor_harness::{measure_perf, run_campaign, CampaignConfig, OutcomeCounts, PerfConfig};
+use sor_harness::{
+    measure_perf_in, run_campaign_in, ArtifactStore, CampaignConfig, OutcomeCounts, PerfConfig,
+};
 use sor_regalloc::{lower, LowerConfig};
 use sor_sim::{FaultSpec, MachineConfig, Runner, TimingConfig};
 use sor_workloads::{AdpcmDec, Mpeg2Enc, Parser, Workload};
@@ -24,6 +26,10 @@ fn main() {
         Box::new(Mpeg2Enc::default()),
         Box::new(Parser::default()),
     ];
+    // One artifact store for every sweep: each (workload, technique,
+    // transform) program is prepared once and reused across the timing
+    // and campaign runs.
+    let store = ArtifactStore::new();
 
     println!("== ablation 1: check-placement density (SWIFT-R, {runs} injections) ==");
     println!(
@@ -40,13 +46,13 @@ fn main() {
                 transform: tc.clone(),
                 ..CampaignConfig::default()
             };
-            let rel = run_campaign(w.as_ref(), Technique::SwiftR, &cfg);
+            let rel = run_campaign_in(&store, w.as_ref(), Technique::SwiftR, &cfg);
             let pc = PerfConfig {
                 transform: tc,
                 ..PerfConfig::default()
             };
-            let noft = measure_perf(w.as_ref(), Technique::Noft, &pc);
-            let perf = measure_perf(w.as_ref(), Technique::SwiftR, &pc);
+            let noft = measure_perf_in(&store, w.as_ref(), Technique::Noft, &pc);
+            let perf = measure_perf_in(&store, w.as_ref(), Technique::SwiftR, &pc);
             println!(
                 "{:<12} {:<16} {:>8.1} {:>8.1} {:>8.1} {:>10.2}",
                 w.name(),
@@ -73,9 +79,9 @@ fn main() {
                 },
                 ..PerfConfig::default()
             };
-            let noft = measure_perf(w.as_ref(), Technique::Noft, &pc);
-            let trump = measure_perf(w.as_ref(), Technique::Trump, &pc);
-            let swiftr = measure_perf(w.as_ref(), Technique::SwiftR, &pc);
+            let noft = measure_perf_in(&store, w.as_ref(), Technique::Noft, &pc);
+            let trump = measure_perf_in(&store, w.as_ref(), Technique::Trump, &pc);
+            let swiftr = measure_perf_in(&store, w.as_ref(), Technique::SwiftR, &pc);
             println!(
                 "{:<12} {:>6} {:>10.2} {:>10.2}",
                 w.name(),

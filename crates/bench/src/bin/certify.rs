@@ -11,17 +11,18 @@
 //! `seu-reg`; generalized models certify monolithically and bypass the
 //! store; `mem-bit` has no exhaustive plan and is rejected with
 //! guidance), `--store DIR` persistent result store directory (default
-//! `results/store`), `--no-store` to disable the store and certify
-//! monolithically, `--sections N` incremental-reuse granularity (default
-//! 8; results are bit-identical for every value).
-//! With the store enabled the run finishes by printing its
-//! `hits= misses= warnings=` counters — a re-run over an unchanged
-//! workload reports all sections as hits and executes zero injections.
+//! `results/store`), `--no-store` to keep the result store in memory and
+//! never persist it, `--sections N` incremental-reuse granularity
+//! (default 8; results are bit-identical for every value). Every run goes
+//! through the same sectional driver, store or no store, and finishes by
+//! printing the store's `hits= misses= warnings=` counters — a re-run
+//! over an unchanged workload and a persisted store reports all sections
+//! as hits and executes zero injections.
 
 use sor_core::Technique;
 use sor_harness::{
-    certified_json_model, run_certified_campaign_in, run_certified_campaign_stored, technique_slug,
-    ArtifactStore, CertifyConfig, FaultModel, ResultStore,
+    certified_json_model, result_name, run_certified_campaign_stored, ArtifactStore, CertifyConfig,
+    FaultModel,
 };
 use sor_workloads::{AdpcmDec, Workload};
 
@@ -37,15 +38,10 @@ fn main() {
         );
         std::process::exit(2);
     }
-    let results = if sor_bench::flag("--no-store") || !model.is_default() {
-        if !model.is_default() {
-            eprintln!("certify: generalized model {model} runs monolithically (store bypassed)");
-        }
-        None
-    } else {
-        let dir = sor_bench::arg_value("--store").unwrap_or_else(|| "results/store".to_string());
-        Some(ResultStore::open(&dir))
-    };
+    if !model.is_default() {
+        eprintln!("certify: generalized model {model} runs monolithically (store bypassed)");
+    }
+    let results = sor_bench::result_store(model);
 
     let workload = AdpcmDec { samples, seed: 1 };
     let cfg = CertifyConfig {
@@ -70,17 +66,12 @@ fn main() {
     );
     for technique in Technique::ALL {
         let start = std::time::Instant::now();
-        let r = match &results {
-            Some(rs) => {
-                let inc = run_certified_campaign_stored(&store, rs, &workload, technique, &cfg);
-                eprintln!(
-                    "{technique}: {}/{} sections from store, {} fresh injections",
-                    inc.sections_hit, inc.sections_total, inc.fresh_injections
-                );
-                inc.coverage
-            }
-            None => run_certified_campaign_in(&store, &workload, technique, &cfg),
-        };
+        let inc = run_certified_campaign_stored(&store, &results, &workload, technique, &cfg);
+        eprintln!(
+            "{technique}: {}/{} sections from store, {} fresh injections",
+            inc.sections_hit, inc.sections_total, inc.fresh_injections
+        );
+        let r = inc.coverage;
         let secs = start.elapsed().as_secs_f64();
         println!(
             "{:<14} {:>12} {:>12} {:>9} {:>11} {:>7.1}x {:>8.2} {:>8.2} {:>8.2}",
@@ -102,21 +93,11 @@ fn main() {
         );
 
         let json = certified_json_model(&r, model);
-        let name = if model.is_default() {
-            format!("certified_{}.json", technique_slug(technique))
-        } else {
-            format!(
-                "certified_{}_{}.json",
-                model.slug(),
-                technique_slug(technique)
-            )
-        };
+        let name = result_name("certified", model, Some(technique), "json");
         match sor_bench::write_results(&name, &json) {
             Ok(p) => eprintln!("wrote {}", p.display()),
             Err(e) => eprintln!("could not write {name}: {e}"),
         }
     }
-    if let Some(rs) = &results {
-        println!("store: {}", rs.summary());
-    }
+    println!("store: {}", results.summary());
 }

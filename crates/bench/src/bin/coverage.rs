@@ -9,27 +9,13 @@
 //! the same story: high TRUMP value coverage means encodes displace votes.
 //!
 //! Pass `--json` to additionally write `results/coverage.json` for
-//! machine consumption. `--fault-model M` is accepted for flag parity
-//! with the injection bins: the static coverage split is
-//! model-independent, so the numbers never change, but non-default
-//! models tag each JSON row with the model slug so downstream tooling
-//! can join coverage rows against model-tagged campaign results.
+//! machine consumption. The static coverage split is
+//! fault-model-independent, so the bin takes no `--fault-model`.
 
 use sor_core::{coverage, Pipeline, Technique, TransformConfig};
 use sor_workloads::all_workloads;
 
 fn main() {
-    let model = sor_bench::fault_model_arg();
-    if !model.is_default() {
-        eprintln!(
-            "coverage: static analysis is fault-model-independent; tagging rows with {model}"
-        );
-    }
-    let model_tag = if model.is_default() {
-        String::new()
-    } else {
-        format!("\"fault_model\": \"{}\", ", model.slug())
-    };
     let want_json = std::env::args().any(|a| a == "--json");
     let mut json_rows: Vec<String> = Vec::new();
     println!(
@@ -82,7 +68,7 @@ fn main() {
             added
         ));
         json_rows.push(format!(
-            "  {{\"benchmark\": \"{}\", {model_tag}\"int_values\": {}, \"trump_pure\": {}, \
+            "  {{\"benchmark\": \"{}\", \"int_values\": {}, \"trump_pure\": {}, \
              \"trump_hybrid\": {}, \"value_frac\": {:.4}, \"encodes\": {}, \
              \"votes\": {}, \"fuses\": {}, \"insts_added\": {}}}",
             w.name(),

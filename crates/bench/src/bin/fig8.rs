@@ -9,7 +9,7 @@
 //! `results/fig8.json`.
 
 use sor_core::Technique;
-use sor_harness::{CampaignConfig, FigureEight};
+use sor_harness::{result_name, ArtifactStore, CampaignConfig, FigureEight};
 use sor_workloads::all_workloads;
 
 fn main() {
@@ -28,24 +28,22 @@ fn main() {
         Technique::FIGURE8.len()
     );
     let start = std::time::Instant::now();
-    let fig = FigureEight::run(&all_workloads(), &cfg);
+    let fig = FigureEight::run_in(
+        &ArtifactStore::new(),
+        &all_workloads(),
+        &Technique::FIGURE8,
+        &cfg,
+    );
     eprintln!("done in {:.1}s", start.elapsed().as_secs_f64());
     println!("{fig}");
     println!("{}", fig.to_chart());
-    let suffix = if model.is_default() {
-        String::new()
-    } else {
-        format!("_{}", model.slug())
-    };
+    let name = |ext| result_name("fig8", model, None, ext);
     let mut outputs = vec![
-        (format!("fig8{suffix}.csv"), fig.to_csv()),
-        (
-            format!("fig8{suffix}.txt"),
-            format!("{fig}\n{}", fig.to_chart()),
-        ),
+        (name("csv"), fig.to_csv()),
+        (name("txt"), format!("{fig}\n{}", fig.to_chart())),
     ];
     if want_json {
-        outputs.push((format!("fig8{suffix}.json"), fig.to_json_model(model)));
+        outputs.push((name("json"), fig.to_json_model(model)));
     }
     for (name, contents) in outputs {
         match sor_bench::write_results(&name, &contents) {

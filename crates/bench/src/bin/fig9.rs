@@ -4,14 +4,18 @@
 //! Flags: `--json` to additionally write `results/fig9.json`. The timing
 //! model is deterministic, so there is no `--runs` or `--seed`.
 
-use sor_harness::{FigureNine, PerfConfig};
+use sor_harness::{ArtifactStore, FigureNine, PerfConfig};
 use sor_workloads::all_workloads;
 
 fn main() {
     let want_json = std::env::args().any(|a| a == "--json");
     eprintln!("running Figure 9: 10 benchmarks x 6 techniques, timed, fault-free...");
     let start = std::time::Instant::now();
-    let fig = FigureNine::run(&all_workloads(), &PerfConfig::default());
+    let fig = FigureNine::run_in(
+        &ArtifactStore::new(),
+        &all_workloads(),
+        &PerfConfig::default(),
+    );
     eprintln!("done in {:.1}s", start.elapsed().as_secs_f64());
     println!("{fig}");
     let mut outputs = vec![("fig9.csv", fig.to_csv()), ("fig9.txt", fig.to_string())];

@@ -10,15 +10,17 @@
 //! `--fault-model M` (default `seu-reg`; generalized models run
 //! monolithically, bypassing the store), `--top N` heatmap rows per
 //! technique (default 10), `--store DIR` persistent result store
-//! directory (default `results/store`), `--no-store` to disable the
-//! store, `--sections N` section granularity for store reuse (default 8).
-//! With the store enabled the run finishes by printing its
+//! directory (default `results/store`), `--no-store` to keep the result
+//! store in memory and never persist it, `--sections N` section
+//! granularity for store reuse (default 8; results are bit-identical for
+//! every value). Every run goes through the same sectional driver, store
+//! or no store, and finishes by printing the store's
 //! `hits= misses= warnings=` counters.
 
 use sor_core::Technique;
 use sor_harness::{
-    residual_sdc_table, run_triaged_campaign_in, run_triaged_campaign_stored, technique_slug,
-    triage_json_model, ArtifactStore, CampaignConfig, ResultStore, TriagedCampaign,
+    residual_sdc_table, result_name, run_triaged_campaign_stored, triage_json_model, ArtifactStore,
+    CampaignConfig, TriagedCampaign,
 };
 use sor_regalloc::LowerConfig;
 use sor_workloads::{AdpcmDec, Workload};
@@ -30,15 +32,10 @@ fn main() {
     let top: usize = sor_bench::parsed_arg("--top").unwrap_or(10);
     let sections: usize = sor_bench::parsed_arg("--sections").unwrap_or(8);
     let model = sor_bench::fault_model_arg();
-    let results = if sor_bench::flag("--no-store") || !model.is_default() {
-        if !model.is_default() {
-            eprintln!("triage: generalized model {model} runs monolithically (store bypassed)");
-        }
-        None
-    } else {
-        let dir = sor_bench::arg_value("--store").unwrap_or_else(|| "results/store".to_string());
-        Some(ResultStore::open(&dir))
-    };
+    if !model.is_default() {
+        eprintln!("triage: generalized model {model} runs monolithically (store bypassed)");
+    }
+    let results = sor_bench::result_store(model);
 
     let workload = AdpcmDec { samples, seed: 1 };
     let cfg = CampaignConfig {
@@ -59,12 +56,7 @@ fn main() {
             "triage: {} / {technique}, {runs} injections",
             workload.name()
         );
-        let t = match &results {
-            Some(rs) => {
-                run_triaged_campaign_stored(&store, rs, &workload, technique, &cfg, sections)
-            }
-            None => run_triaged_campaign_in(&store, &workload, technique, &cfg),
-        };
+        let t = run_triaged_campaign_stored(&store, &results, &workload, technique, &cfg, sections);
         let artifact = store.get(
             &workload,
             technique,
@@ -73,11 +65,7 @@ fn main() {
         );
 
         let json = triage_json_model(&t, &artifact.program, runs, model);
-        let name = if model.is_default() {
-            format!("triage_{}.json", technique_slug(technique))
-        } else {
-            format!("triage_{}_{}.json", model.slug(), technique_slug(technique))
-        };
+        let name = result_name("triage", model, Some(technique), "json");
         match sor_bench::write_results(&name, &json) {
             Ok(p) => eprintln!("wrote {}", p.display()),
             Err(e) => eprintln!("could not write {name}: {e}"),
@@ -108,7 +96,5 @@ fn main() {
         Err(e) => eprintln!("could not write triage_heatmap.md: {e}"),
     }
     print!("{heatmap}");
-    if let Some(rs) = &results {
-        println!("store: {}", rs.summary());
-    }
+    println!("store: {}", results.summary());
 }

@@ -28,8 +28,8 @@
 //! own where it cannot compile (off x86-64 Linux, or when the kernel
 //! refuses an executable mapping); results are bit-identical either way.
 //! `certify` and `triage` additionally take `--store DIR` / `--no-store`
-//! / `--sections N` for the persistent result store (see
-//! `sor_harness::ResultStore`).
+//! / `--sections N` for the result store (see `sor_harness::ResultStore`;
+//! `--no-store` keeps it in memory, unpersisted — the driver is the same).
 //!
 //! Performance is measured by the standalone `perfbench/` package, not by
 //! these bins: it times the Figure-8 campaigns, incremental
@@ -64,6 +64,19 @@ pub fn fault_model_arg() -> sor_harness::FaultModel {
             );
             std::process::exit(2);
         }),
+    }
+}
+
+/// The result store `certify` and `triage` run against: `--no-store` —
+/// or a generalized fault model, which the sectional store cannot hold —
+/// keeps it in memory and never persists it; otherwise `--store DIR`
+/// (default `results/store`) opens the persistent store.
+pub fn result_store(model: sor_harness::FaultModel) -> sor_harness::ResultStore {
+    use sor_harness::ResultStore;
+    if flag("--no-store") || !model.is_default() {
+        ResultStore::in_memory()
+    } else {
+        ResultStore::open(arg_value("--store").unwrap_or_else(|| "results/store".to_string()))
     }
 }
 

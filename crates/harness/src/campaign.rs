@@ -7,7 +7,7 @@ use sor_ir::Program;
 use sor_models::{FaultModel, SampleCtx};
 use sor_regalloc::LowerConfig;
 use sor_rng::SmallRng;
-use sor_sim::{DecodedProg, ExecEngine, GenFault, MachineConfig};
+use sor_sim::{DecodedProg, ExecEngine, GenFault};
 use sor_stats::OutcomeCounts;
 use sor_workloads::Workload;
 use std::sync::Arc;
@@ -21,11 +21,6 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Worker threads (`0` = all available cores).
     pub threads: usize,
-    /// Golden-run checkpoint interval for checkpoint-and-replay injection
-    /// (see [`MachineConfig::checkpoint_interval`]): `0` runs every
-    /// injection from scratch, [`MachineConfig::AUTO_CHECKPOINT`] (the
-    /// default) auto-sizes from the golden run length.
-    pub checkpoint_interval: u64,
     /// Interpreter core the injection machines run on (see
     /// [`ExecEngine`]): the native jit engine by default, which degrades
     /// to the decoded interpreter where it cannot compile. The decoded
@@ -49,7 +44,6 @@ impl Default for CampaignConfig {
             runs: 250,
             seed: 0x5EED,
             threads: 0,
-            checkpoint_interval: MachineConfig::AUTO_CHECKPOINT,
             engine: ExecEngine::default(),
             transform: sor_core::TransformConfig::default(),
             fault_model: FaultModel::SeuReg,
@@ -94,16 +88,20 @@ pub(crate) fn draw_gen_faults(
 }
 
 /// Transforms, lowers and verifies a workload under `technique`, asserting
-/// output correctness against the native reference, then runs the campaign.
+/// output correctness against the native reference, then runs the
+/// campaign. Program preparation is served from `store`: repeated
+/// (workload, technique, config) coordinates — e.g. the same cell
+/// appearing in both a Figure 8 matrix and a headline run — transform and
+/// lower exactly once. A one-off campaign passes `&ArtifactStore::new()`.
 ///
 /// ```
 /// use sor_core::Technique;
-/// use sor_harness::{run_campaign, CampaignConfig};
+/// use sor_harness::{run_campaign_in, ArtifactStore, CampaignConfig};
 /// use sor_workloads::AdpcmDec;
 ///
 /// let workload = AdpcmDec { samples: 40, seed: 1 };
 /// let cfg = CampaignConfig { runs: 10, threads: 1, ..Default::default() };
-/// let result = run_campaign(&workload, Technique::SwiftR, &cfg);
+/// let result = run_campaign_in(&ArtifactStore::new(), &workload, Technique::SwiftR, &cfg);
 /// assert_eq!(result.counts.total(), 10);
 /// ```
 ///
@@ -111,18 +109,6 @@ pub(crate) fn draw_gen_faults(
 ///
 /// Panics if the transformed program's fault-free output does not match the
 /// workload's native reference (that would invalidate the whole campaign).
-pub fn run_campaign(
-    workload: &dyn Workload,
-    technique: Technique,
-    cfg: &CampaignConfig,
-) -> CampaignResult {
-    run_campaign_in(&ArtifactStore::new(), workload, technique, cfg)
-}
-
-/// [`run_campaign`] with program preparation served from a shared
-/// [`ArtifactStore`]: repeated (workload, technique, config) coordinates —
-/// e.g. the same cell appearing in both a Figure 8 matrix and a headline
-/// run — transform and lower exactly once.
 pub fn run_campaign_in(
     store: &ArtifactStore,
     workload: &dyn Workload,
@@ -154,7 +140,7 @@ fn inject(
     wl_name: &str,
     technique: Technique,
 ) -> (OutcomeCounts, u64) {
-    let runner = pool::build_runner(program, decoded, jit, cfg.checkpoint_interval, cfg.engine);
+    let runner = pool::build_runner(program, decoded, jit, cfg.engine);
     let golden_len = runner.golden().dyn_instrs;
     let faults = draw_gen_faults(cfg, wl_name, technique, program, golden_len);
     // Work-stealing over the shared pool (see `pool::inject_faults`):
@@ -179,7 +165,17 @@ fn inject(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sor_sim::{MachineConfig, Runner};
     use sor_workloads::AdpcmDec;
+
+    /// A campaign on a fresh artifact store, as a one-off caller runs it.
+    fn run_campaign(
+        workload: &dyn Workload,
+        technique: Technique,
+        cfg: &CampaignConfig,
+    ) -> CampaignResult {
+        run_campaign_in(&ArtifactStore::new(), workload, technique, cfg)
+    }
 
     fn small_cfg() -> CampaignConfig {
         CampaignConfig {
@@ -321,36 +317,62 @@ mod tests {
         assert_eq!(first.golden_instrs, fresh.golden_instrs);
     }
 
-    /// Checkpoint-and-replay must not change campaign results at all: the
-    /// outcome distribution is identical with checkpointing disabled,
-    /// auto-sized, or forced to an awkward interval, at any thread count.
+    /// Checkpoint-and-replay must not change campaign results at all: at
+    /// any thread count, the campaign's histogram equals replaying its
+    /// exact fault list on runners with checkpointing disabled, forced to
+    /// an awkward interval, or auto-sized.
     #[test]
     fn checkpointing_never_changes_campaign_results() {
         let w = AdpcmDec {
             samples: 100,
             seed: 3,
         };
-        let reference = {
-            let mut c = small_cfg();
-            c.threads = 1;
-            c.checkpoint_interval = 0;
-            run_campaign(&w, Technique::SwiftR, &c)
-        };
-        for (interval, threads) in [
-            (sor_sim::MachineConfig::AUTO_CHECKPOINT, 1),
-            (sor_sim::MachineConfig::AUTO_CHECKPOINT, 4),
-            (777, 2),
-            (0, 4),
-        ] {
-            let mut c = small_cfg();
-            c.threads = threads;
-            c.checkpoint_interval = interval;
-            let r = run_campaign(&w, Technique::SwiftR, &c);
-            assert_eq!(
-                r.counts, reference.counts,
-                "interval {interval} x {threads} threads diverged"
-            );
-            assert_eq!(r.golden_instrs, reference.golden_instrs);
+        let cfg = small_cfg();
+        let artifact = ArtifactStore::new().get(
+            &w,
+            Technique::SwiftR,
+            &cfg.transform,
+            &LowerConfig::default(),
+        );
+        let campaigns: Vec<CampaignResult> = [1, 4]
+            .into_iter()
+            .map(|threads| {
+                run_campaign(
+                    &w,
+                    Technique::SwiftR,
+                    &CampaignConfig {
+                        threads,
+                        ..small_cfg()
+                    },
+                )
+            })
+            .collect();
+        for interval in [0, 777, MachineConfig::AUTO_CHECKPOINT] {
+            let mcfg = MachineConfig {
+                checkpoint_interval: interval,
+                ..MachineConfig::default()
+            };
+            let runner = Runner::new(&artifact.program, &mcfg);
+            let golden_len = runner.golden().dyn_instrs;
+            let mut replayer = runner.replayer();
+            let mut counts = OutcomeCounts::default();
+            for fault in draw_gen_faults(
+                &cfg,
+                w.name(),
+                Technique::SwiftR,
+                &artifact.program,
+                golden_len,
+            ) {
+                let (rec, res) = replayer.run_fault_record_gen(fault);
+                counts.record(
+                    rec.outcome,
+                    res.probes.vote_repairs + res.probes.trump_recovers,
+                );
+            }
+            for r in &campaigns {
+                assert_eq!(r.counts, counts, "interval {interval} replay diverged");
+                assert_eq!(r.golden_instrs, golden_len);
+            }
         }
     }
 }

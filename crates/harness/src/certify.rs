@@ -12,7 +12,7 @@
 //! per-role attribution) — the oracle tests below pin exactly that.
 
 use crate::artifact::ArtifactStore;
-use crate::ctrl::RunCtrl;
+use crate::ctrl::{Progress, RunCtrl, Status};
 use crate::pool;
 use crate::store::ResultStore;
 use sor_ace::{
@@ -23,7 +23,7 @@ use sor_core::Technique;
 use sor_ir::Program;
 use sor_models::FaultModel;
 use sor_regalloc::LowerConfig;
-use sor_sim::{DecodedProg, ExecEngine, FaultSpec, GenFault, JitProg, MachineConfig};
+use sor_sim::{DecodedProg, ExecEngine, FaultSpec, GenFault, JitProg};
 use sor_stats::OutcomeCounts;
 use sor_workloads::Workload;
 use std::sync::Arc;
@@ -33,27 +33,22 @@ use std::sync::Arc;
 pub struct CertifyConfig {
     /// Worker threads (`0` = all available cores).
     pub threads: usize,
-    /// Golden-run checkpoint interval (see
-    /// [`MachineConfig::checkpoint_interval`]).
-    pub checkpoint_interval: u64,
     /// Transform configuration.
     pub transform: sor_core::TransformConfig,
-    /// Contiguous dynamic-slot sections the incremental path
-    /// ([`certify_incremental`]) splits the plan into — the granularity of
-    /// [`ResultStore`] reuse. Irrelevant to the monolithic entry points,
-    /// and results are bit-identical for every value (the incremental
-    /// tests pin this); more sections = finer partial reuse, slightly
-    /// more store records.
+    /// Contiguous dynamic-slot sections [`certify_resumable`] splits the
+    /// plan into — the granularity of [`ResultStore`] reuse and of
+    /// pausing. Results are bit-identical for every value (the
+    /// incremental tests pin this); more sections = finer partial reuse,
+    /// slightly more store records.
     pub sections: usize,
-    /// Fault model to certify (see [`FaultModel`]). Monolithic
-    /// certification plans every model through [`sor_ace::GenCertPlan`];
-    /// the sectional store path serves the default,
-    /// [`FaultModel::SeuReg`], only (its record format encodes the SEU
-    /// plan shape, and a wrong reuse would be silent), so other models
-    /// bypass the store. [`FaultModel::MemBit`] is not certifiable (no
-    /// per-address liveness argument) and panics with
-    /// [`ModelPlanError::NotCertifiable`]'s message; use a sampled
-    /// campaign for it.
+    /// Fault model to certify (see [`FaultModel`]). The sectional store
+    /// path serves the default, [`FaultModel::SeuReg`], only (its record
+    /// format encodes the SEU plan shape, and a wrong reuse would be
+    /// silent); other models certify in one monolithic pass through
+    /// [`sor_ace::GenCertPlan`] and bypass the store.
+    /// [`FaultModel::MemBit`] is not certifiable (no per-address liveness
+    /// argument) and panics with [`ModelPlanError::NotCertifiable`]'s
+    /// message; use a sampled campaign for it.
     pub fault_model: FaultModel,
     /// Execution engine for the golden run and every injection (see
     /// [`ExecEngine`]): [`ExecEngine::Jit`] by default, degrading to the
@@ -68,7 +63,6 @@ impl Default for CertifyConfig {
     fn default() -> Self {
         CertifyConfig {
             threads: 0,
-            checkpoint_interval: MachineConfig::AUTO_CHECKPOINT,
             transform: sor_core::TransformConfig::default(),
             sections: 8,
             fault_model: FaultModel::SeuReg,
@@ -77,52 +71,21 @@ impl Default for CertifyConfig {
     }
 }
 
-/// Transforms and lowers `workload` under `technique`, then certifies its
-/// entire fault space exactly.
-pub fn run_certified_campaign(
-    workload: &dyn Workload,
-    technique: Technique,
-    cfg: &CertifyConfig,
-) -> CertifiedCoverage {
-    run_certified_campaign_in(&ArtifactStore::new(), workload, technique, cfg)
-}
-
-/// [`run_certified_campaign`] with program preparation served from a
-/// shared [`ArtifactStore`].
-pub fn run_certified_campaign_in(
-    store: &ArtifactStore,
-    workload: &dyn Workload,
-    technique: Technique,
-    cfg: &CertifyConfig,
-) -> CertifiedCoverage {
-    let artifact = store.get(workload, technique, &cfg.transform, &LowerConfig::default());
-    certify_program_model(
-        &artifact.program,
-        Some(Arc::clone(&artifact.decoded)),
-        artifact.jit_for(cfg.engine),
-        workload.name(),
-        &technique.to_string(),
-        cfg,
-    )
-    .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Certifies one lowered program's full `seu-reg` fault space with the
-/// default engine — the reference the incremental path is
-/// pinned against.
+/// Certifies one lowered program's full `seu-reg` fault space in one
+/// monolithic pass with the default engine.
 ///
-/// Results are independent of `threads`: workers fill a per-class result
-/// slot, and assembly walks classes in plan order.
+/// This is the *reference* the sectional driver ([`certify_resumable`])
+/// is pinned against in tests — production certification never calls
+/// it. Results are independent of `threads`: workers fill a per-class
+/// result slot, and assembly walks classes in plan order.
 pub fn certify_program(
     program: &Program,
     workload: &str,
     technique: &str,
     threads: usize,
-    checkpoint_interval: u64,
 ) -> CertifiedCoverage {
     let cfg = CertifyConfig {
         threads,
-        checkpoint_interval,
         ..CertifyConfig::default()
     };
     certify_program_model(program, None, None, workload, technique, &cfg)
@@ -130,13 +93,18 @@ pub fn certify_program(
 }
 
 /// Certifies one lowered program's full fault space under
-/// `cfg.fault_model`, exactly: records the def-use trace, builds the
-/// model's [`GenCertPlan`] (per-model unACE arguments — see
+/// `cfg.fault_model` in one monolithic pass: records the def-use trace,
+/// builds the model's [`GenCertPlan`] (per-model unACE arguments — see
 /// `sor_ace::models` and DESIGN.md §16), executes every class effect
 /// across the work-stealing pool, and assembles the exact coverage
 /// report. Reuses the predecoded program and (under [`ExecEngine::Jit`])
 /// the compiled native image when given. `Err(ModelPlanError::NotCertifiable)`
 /// for models with no sound pruning argument ([`FaultModel::MemBit`]).
+///
+/// Two roles: it is [`certify_resumable`]'s branch for non-default
+/// models (which the sectional store cannot hold), and, under `seu-reg`,
+/// the monolithic reference tests compare the sectional driver against
+/// (see [`certify_program`]). `cfg.sections` is ignored.
 ///
 /// Results are independent of thread count: workers fold
 /// into per-class result slots, and assembly walks classes in plan order.
@@ -148,7 +116,7 @@ pub fn certify_program_model(
     technique: &str,
     cfg: &CertifyConfig,
 ) -> Result<CertifiedCoverage, ModelPlanError> {
-    let runner = pool::build_runner(program, decoded, jit, cfg.checkpoint_interval, cfg.engine);
+    let runner = pool::build_runner(program, decoded, jit, cfg.engine);
     let trace = DefUseTrace::record(&runner);
     let plan = GenCertPlan::build(cfg.fault_model, program, &trace)?;
     let golden_recoveries =
@@ -210,9 +178,11 @@ pub struct IncrementalCertification {
     pub fresh_injections: u64,
 }
 
-/// [`run_certified_campaign_in`] through the incremental path: program
-/// preparation served from `artifacts`, executed section results served
-/// from (and inserted into) `results`.
+/// Transforms and lowers `workload` under `technique` (served from
+/// `artifacts`), then certifies its entire fault space exactly through
+/// [`certify_incremental`], with executed section results served from
+/// (and inserted into) `results`. The certify bin's `--no-store` passes a
+/// [`ResultStore::in_memory`] that is never persisted.
 pub fn run_certified_campaign_stored(
     artifacts: &ArtifactStore,
     results: &ResultStore,
@@ -232,20 +202,9 @@ pub fn run_certified_campaign_stored(
     )
 }
 
-/// Certifies a program's full fault space, reusing previously executed
-/// sections from `results` and executing only the rest.
-///
-/// The golden run, def-use trace and pruning plan are always recomputed
-/// fresh — they are cheap (one fault-free pass) and they are what the
-/// cached results are validated *against*: the plan is partitioned into
-/// [`CertSections`] whose keys digest the program, each section's def-use
-/// slice and the fault model, and only a section whose key matches a
-/// stored entry (and whose stored class tags line up with the fresh plan)
-/// skips execution. The assembled [`CertifiedCoverage`] is bit-identical
-/// to the monolithic [`certify_program`] whatever mix of cached and fresh
-/// sections it was composed from — labels (`workload`, `technique`) are
-/// applied at assembly and never cached, so renames cannot poison the
-/// store.
+/// [`certify_resumable`] run to completion: certifies a program's full
+/// fault space, reusing previously executed sections from `results` and
+/// executing only the rest.
 #[allow(clippy::too_many_arguments)]
 pub fn certify_incremental(
     results: &ResultStore,
@@ -267,57 +226,37 @@ pub fn certify_incremental(
         None,
         &mut |_| {},
     ) {
-        CertifyStatus::Done(inc) => inc,
-        CertifyStatus::Paused(_) => unreachable!("no control, so the driver never pauses"),
+        Status::Done(inc) => inc,
+        Status::Paused => unreachable!("no control, so the driver never pauses"),
     }
 }
 
-/// A snapshot of a resumable certification's position, emitted after
-/// every resolved section (and carried by [`CertifyStatus::Paused`]).
+/// The one certification driver: certifies a program's full fault
+/// space section by section, reusing sections stored in `results`,
+/// pausable at section boundaries.
 ///
-/// `counts` aggregates the outcome histograms of every section resolved
-/// so far — cached and fresh — so a client watching a campaign sees the
-/// classified fraction (and its Wilson interval, via
-/// [`OutcomeCounts::sdc_ci95`]) converge section by section toward the
-/// exact final report.
-#[derive(Debug, Clone, Default)]
-pub struct CertifyProgress {
-    /// Sections resolved so far (cached hits + freshly executed).
-    pub sections_done: usize,
-    /// Sections the plan was split into.
-    pub sections_total: usize,
-    /// Sections served from the store without executing anything.
-    pub sections_hit: usize,
-    /// Injections executed by this run so far.
-    pub fresh_injections: u64,
-    /// Injections represented by the resolved sections (executed now or
-    /// by whichever earlier run populated the store).
-    pub injections_resolved: u64,
-    /// Outcome histogram aggregated over every resolved section.
-    pub counts: OutcomeCounts,
-}
-
-/// What a resumable certification run ended as.
-#[derive(Debug, Clone)]
-pub enum CertifyStatus {
-    /// Every section resolved; the assembled report is exact and
-    /// bit-identical to the monolithic path.
-    Done(IncrementalCertification),
-    /// A stop was requested: completed sections are persisted in the
-    /// store, and re-invoking with the same arguments resumes from here.
-    Paused(CertifyProgress),
-}
-
-/// [`certify_incremental`], pausable at section boundaries.
+/// The golden run, def-use trace and pruning plan are always recomputed
+/// fresh — they are cheap (one fault-free pass) and they are what the
+/// cached results are validated *against*: the plan is partitioned into
+/// [`CertSections`] whose keys digest the program, each section's def-use
+/// slice and the fault model, and only a section whose key matches a
+/// stored entry (and whose stored class tags line up with the fresh plan)
+/// skips execution. Labels (`workload`, `technique`) are applied at
+/// assembly and never cached, so renames cannot poison the store.
 ///
 /// Missing sections execute one at a time, each persisted to `results`
 /// the moment it completes, with `on_progress` fired after every resolved
 /// section. When `ctrl` requests a stop the driver returns
-/// [`CertifyStatus::Paused`] before starting the next section — nothing
-/// in flight is lost, and calling again with the same store picks up
+/// [`Status::Paused`] before starting the next section — nothing in
+/// flight is lost, and calling again with the same store picks up
 /// exactly where it left off (the finished sections come back as hits).
-/// The composed report is bit-identical to [`certify_program`] no matter
-/// how many pause/resume cycles it took.
+/// The composed report is bit-identical to the monolithic
+/// [`certify_program`] whatever mix of cached and fresh sections, and
+/// however many pause/resume cycles, it took.
+///
+/// Non-default fault models take the driver's one monolithic branch
+/// ([`certify_program_model`], one all-or-nothing "section") and never
+/// touch the store.
 #[allow(clippy::too_many_arguments)]
 pub fn certify_resumable(
     results: &ResultStore,
@@ -328,32 +267,29 @@ pub fn certify_resumable(
     technique: &str,
     cfg: &CertifyConfig,
     ctrl: Option<&RunCtrl>,
-    on_progress: &mut dyn FnMut(&CertifyProgress),
-) -> CertifyStatus {
+    on_progress: &mut dyn FnMut(&Progress),
+) -> Status<IncrementalCertification> {
     if !cfg.fault_model.is_default() {
-        // Non-default models certify monolithically and never touch the
-        // store: the sectional record format encodes the SEU plan's class
-        // shape only, and serving a generalized plan from it would be a
-        // silent mismatch. One all-or-nothing "section", no pause grain.
+        // The sectional record format encodes the SEU plan's class shape
+        // only, and serving a generalized plan from it would be a silent
+        // mismatch. One all-or-nothing "section", no pause grain.
         let coverage = certify_program_model(program, decoded, jit, workload, technique, cfg)
             .unwrap_or_else(|e| panic!("{e}"));
-        let progress = CertifyProgress {
-            sections_done: 1,
-            sections_total: 1,
-            sections_hit: 0,
+        on_progress(&Progress {
+            done: 1,
+            total: 1,
+            hits: 0,
             fresh_injections: coverage.injections_executed,
-            injections_resolved: coverage.injections_executed,
             counts: coverage.counts,
-        };
-        on_progress(&progress);
-        return CertifyStatus::Done(IncrementalCertification {
+        });
+        return Status::Done(IncrementalCertification {
+            fresh_injections: coverage.injections_executed,
             coverage,
             sections_total: 1,
             sections_hit: 0,
-            fresh_injections: progress.fresh_injections,
         });
     }
-    let runner = pool::build_runner(program, decoded, jit, cfg.checkpoint_interval, cfg.engine);
+    let runner = pool::build_runner(program, decoded, jit, cfg.engine);
     let trace = DefUseTrace::record(&runner);
     let plan = CertPlan::build(&trace);
     let golden_recoveries =
@@ -378,29 +314,26 @@ pub fn certify_resumable(
         })
         .collect();
 
-    let mut progress = CertifyProgress {
-        sections_total: sections.sections.len(),
-        ..CertifyProgress::default()
+    let mut progress = Progress {
+        total: sections.sections.len() as u64,
+        ..Progress::default()
     };
     for resolved in per_section.iter().flatten() {
-        progress.sections_done += 1;
-        progress.sections_hit += 1;
+        progress.done += 1;
+        progress.hits += 1;
         absorb_section(&mut progress, resolved);
     }
     on_progress(&progress);
 
     // Execute the missing sections one at a time, persisting each as it
-    // completes — the pause grain. (The monolithic path used to flatten
-    // all missing sections into one fault list for marginally better
-    // steal balance; per-section execution keeps every result identical
-    // while making "stop after the section in flight" a well-defined
-    // point that loses no work.)
+    // completes — the pause grain, and a well-defined point that loses
+    // no work.
     for (si, slot) in per_section.iter_mut().enumerate() {
         if slot.is_some() {
             continue;
         }
         if ctrl.is_some_and(|c| c.stop_requested()) {
-            return CertifyStatus::Paused(progress);
+            return Status::Paused;
         }
         let sec = &sections.sections[si];
         let faults: Vec<GenFault> = sec
@@ -439,7 +372,7 @@ pub fn certify_resumable(
             })
             .collect();
         let stored = results.put_cert(sec.key, SectionOutcomes { classes });
-        progress.sections_done += 1;
+        progress.done += 1;
         absorb_section(&mut progress, &stored);
         *slot = Some(stored);
         on_progress(&progress);
@@ -461,19 +394,18 @@ pub fn certify_resumable(
         &class_results,
         golden_recoveries,
     );
-    CertifyStatus::Done(IncrementalCertification {
+    Status::Done(IncrementalCertification {
         coverage,
         sections_total: sections.sections.len(),
-        sections_hit: progress.sections_hit,
+        sections_hit: progress.hits as usize,
         fresh_injections: progress.fresh_injections,
     })
 }
 
 /// Folds one resolved section's class histograms into a progress snapshot.
-fn absorb_section(progress: &mut CertifyProgress, section: &SectionOutcomes) {
+fn absorb_section(progress: &mut Progress, section: &SectionOutcomes) {
     for class in &section.classes {
         progress.counts += class.counts;
-        progress.injections_resolved += 64;
     }
 }
 
@@ -482,7 +414,7 @@ mod tests {
     use super::*;
     use sor_ir::{MemWidth, ModuleBuilder, Operand, ProtectionRole, Width};
     use sor_regalloc::lower;
-    use sor_sim::{Runner, INJECTABLE_REGS};
+    use sor_sim::{MachineConfig, Runner, INJECTABLE_REGS};
     use std::collections::BTreeMap;
 
     /// Micro workload 1: a pure arithmetic chain — registers carry live
@@ -519,17 +451,23 @@ mod tests {
         lower(&technique.apply(&mb.finish(id)), &LowerConfig::default()).unwrap()
     }
 
-    /// Injects every single (slot, register, bit) site, from scratch,
+    /// Injects every single (slot, register, bit) site on a runner with
+    /// the given checkpoint interval (`0` = every run from scratch),
     /// aggregating exactly what `CertifiedCoverage` reports.
     fn brute_force(
         program: &Program,
+        checkpoint_interval: u64,
     ) -> (
         OutcomeCounts,
         BTreeMap<usize, OutcomeCounts>,
         BTreeMap<ProtectionRole, OutcomeCounts>,
         u64,
     ) {
-        let runner = Runner::new(program, &MachineConfig::default());
+        let mcfg = MachineConfig {
+            checkpoint_interval,
+            ..MachineConfig::default()
+        };
+        let runner = Runner::new(program, &mcfg);
         let golden_len = runner.golden().dyn_instrs;
         let mut replayer = runner.replayer();
         let mut counts = OutcomeCounts::default();
@@ -575,8 +513,9 @@ mod tests {
                 programs.push(("adpcmdec", lower(&module, &LowerConfig::default()).unwrap()));
             }
             for (name, program) in programs {
-                let certified = certify_program(&program, name, &technique.to_string(), 2, 3);
-                let (counts, sites, roles, golden_len) = brute_force(&program);
+                let certified = certify_program(&program, name, &technique.to_string(), 2);
+                let (counts, sites, roles, golden_len) =
+                    brute_force(&program, MachineConfig::AUTO_CHECKPOINT);
                 let label = format!("{name}/{technique}");
                 assert_eq!(certified.golden_instrs, golden_len, "{label}");
                 assert_eq!(
@@ -596,15 +535,24 @@ mod tests {
         }
     }
 
-    /// Certified reports are a pure function of the program: thread count
-    /// and checkpoint interval must not change a single field.
+    /// Certified reports are a pure function of the program: no thread
+    /// count changes a single field, and checkpoint-and-replay changes
+    /// nothing either — every count equals replaying every site on
+    /// runners that checkpoint at an awkward interval or not at all.
     #[test]
     fn certification_is_execution_strategy_independent() {
         let program = mem_program(Technique::SwiftR);
-        let reference = certify_program(&program, "memsel", "SWIFT-R", 1, 0);
-        for (threads, interval) in [(4, 0), (1, 5), (3, MachineConfig::AUTO_CHECKPOINT)] {
-            let r = certify_program(&program, "memsel", "SWIFT-R", threads, interval);
-            assert_eq!(r, reference, "{threads} threads / interval {interval}");
+        let reference = certify_program(&program, "memsel", "SWIFT-R", 1);
+        for threads in [3, 4] {
+            let r = certify_program(&program, "memsel", "SWIFT-R", threads);
+            assert_eq!(r, reference, "{threads} threads");
+        }
+        for interval in [0, 5] {
+            let (counts, sites, roles, golden_len) = brute_force(&program, interval);
+            assert_eq!(reference.golden_instrs, golden_len, "interval {interval}");
+            assert_eq!(reference.counts, counts, "interval {interval}");
+            assert_eq!(reference.sites, sites, "interval {interval}");
+            assert_eq!(reference.roles, roles, "interval {interval}");
         }
     }
 
@@ -618,7 +566,6 @@ mod tests {
             let program = mem_program(technique);
             let cfg = CertifyConfig {
                 threads: 2,
-                checkpoint_interval: 3,
                 fault_model: FaultModel::PcCorrupt,
                 ..CertifyConfig::default()
             };
@@ -651,7 +598,8 @@ mod tests {
 
     /// The acceptance-criteria coordinate: `certify --fault-model
     /// pc-corrupt` on adpcmdec under SWIFT-R and CFCSS produces an exact,
-    /// thread-count-independent certified report, and CFCSS converts PC
+    /// thread-count-independent certified report through the workload
+    /// driver, without touching the result store, and CFCSS converts PC
     /// upsets into detections.
     #[test]
     fn adpcmdec_pc_corruption_certifies_exactly() {
@@ -666,17 +614,20 @@ mod tests {
                 fault_model: FaultModel::PcCorrupt,
                 ..CertifyConfig::default()
             };
-            let r = run_certified_campaign_in(&store, &w, technique, &cfg);
+            let results = ResultStore::in_memory();
+            let run = |cfg: &CertifyConfig| {
+                run_certified_campaign_stored(&store, &results, &w, technique, cfg).coverage
+            };
+            let r = run(&cfg);
             assert_eq!(r.workload, "adpcmdec");
             assert_eq!(r.counts.total(), r.total_sites, "{technique}");
             assert_eq!(r.dead_sites + r.live_sites, r.total_sites, "{technique}");
-            let single = run_certified_campaign_in(
-                &store,
-                &w,
-                technique,
-                &CertifyConfig { threads: 1, ..cfg },
-            );
+            let single = run(&CertifyConfig { threads: 1, ..cfg });
             assert_eq!(r, single, "{technique}: thread count changed the report");
+            assert!(
+                results.is_empty(),
+                "{technique}: pc-corrupt touched the store"
+            );
             if technique == Technique::Cfcss {
                 assert!(r.counts.detected > 0, "CFCSS must detect wild jumps");
             }
@@ -690,7 +641,6 @@ mod tests {
         let program = chain_program(Technique::SwiftR);
         let cfg = CertifyConfig {
             threads: 1,
-            checkpoint_interval: 0,
             fault_model: FaultModel::MemBit,
             ..CertifyConfig::default()
         };
@@ -713,7 +663,14 @@ mod tests {
             threads: 2,
             ..CertifyConfig::default()
         };
-        let r = run_certified_campaign_in(&store, &w, Technique::SwiftR, &cfg);
+        let r = run_certified_campaign_stored(
+            &store,
+            &ResultStore::in_memory(),
+            &w,
+            Technique::SwiftR,
+            &cfg,
+        )
+        .coverage;
         assert_eq!(r.workload, "adpcmdec");
         assert_eq!(r.technique, "SWIFT-R");
         assert_eq!(r.counts.total(), r.total_sites);

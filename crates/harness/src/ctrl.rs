@@ -1,14 +1,18 @@
-//! Cooperative run control for long-running campaign drivers.
+//! Cooperative run control and progress for long-running campaign drivers.
 //!
-//! The resumable entry points ([`crate::certify_resumable`],
-//! [`crate::run_triaged_campaign_resumable`]) check a shared [`RunCtrl`]
+//! The resumable drivers ([`crate::certify_resumable`],
+//! [`crate::run_triaged_campaign_resumable`]) report a [`Progress`]
+//! snapshot after every resolved section and check a shared [`RunCtrl`]
 //! at every section boundary: once a stop is requested they finish the
 //! section in flight, persist what completed to the [`crate::ResultStore`]
-//! and return a `Paused` status instead of a result. Nothing is lost —
-//! re-invoking the same entry point against the same store serves the
+//! and return [`Status::Paused`] instead of a result. Nothing is lost —
+//! re-invoking the same driver against the same store serves the
 //! finished sections as hits and executes only the remainder. This is the
-//! primitive `sor-server` builds pause/resume and graceful shutdown on.
+//! primitive `sor-server` builds pause/resume and graceful shutdown on;
+//! its job registry persists the same [`Progress`] (and reuses it for the
+//! campaign kind, whose work units are Figure-8 cells).
 
+use sor_stats::OutcomeCounts;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A shared stop flag a driver polls between sections.
@@ -43,6 +47,38 @@ impl RunCtrl {
     pub fn clear(&self) {
         self.stop.store(false, Ordering::Release);
     }
+}
+
+/// A snapshot of a driver's position, emitted after every resolved work
+/// unit (a section, or a campaign cell).
+///
+/// `counts` aggregates the outcome histograms of every unit resolved so
+/// far — cached and fresh — so a client watching a campaign sees the
+/// classified fraction (and its Wilson interval, via
+/// [`OutcomeCounts::sdc_ci95`]) converge unit by unit toward the final
+/// report.
+#[derive(Debug, Clone, Default)]
+pub struct Progress {
+    /// Work units resolved so far (store hits + freshly executed).
+    pub done: u64,
+    /// Work units the run was split into.
+    pub total: u64,
+    /// Units served from the store without executing anything.
+    pub hits: u64,
+    /// Injections executed by this run so far.
+    pub fresh_injections: u64,
+    /// Outcome histogram aggregated over every resolved unit.
+    pub counts: OutcomeCounts,
+}
+
+/// What a resumable driver run ended as.
+#[derive(Debug, Clone)]
+pub enum Status<T> {
+    /// Every section resolved; the composed result is exact.
+    Done(T),
+    /// A stop was requested: completed sections are persisted in the
+    /// store, and re-invoking with the same arguments resumes from here.
+    Paused,
 }
 
 #[cfg(test)]

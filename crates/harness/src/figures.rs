@@ -20,22 +20,9 @@ pub struct FigureEight {
 }
 
 impl FigureEight {
-    /// Runs the full reliability matrix over `workloads`.
-    pub fn run(workloads: &[Box<dyn Workload>], cfg: &CampaignConfig) -> Self {
-        Self::run_with(workloads, &Technique::FIGURE8, cfg)
-    }
-
-    /// Runs the matrix with an explicit technique list (e.g. including the
-    /// SWIFT detection baseline).
-    pub fn run_with(
-        workloads: &[Box<dyn Workload>],
-        techniques: &[Technique],
-        cfg: &CampaignConfig,
-    ) -> Self {
-        Self::run_in(&ArtifactStore::new(), workloads, techniques, cfg)
-    }
-
-    /// Runs the matrix with program preparation served from a shared
+    /// Runs the reliability matrix over `workloads` x `techniques` (the
+    /// paper's [`Technique::FIGURE8`], or a list that adds e.g. the SWIFT
+    /// detection baseline), with program preparation served from a shared
     /// [`ArtifactStore`] — pass the same store to [`FigureNine::run_in`]
     /// and the timing runs reuse every program this matrix prepared.
     pub fn run_in(
@@ -218,13 +205,8 @@ pub struct FigureNine {
 }
 
 impl FigureNine {
-    /// Times every workload under every Figure 9 technique.
-    pub fn run(workloads: &[Box<dyn Workload>], cfg: &PerfConfig) -> Self {
-        Self::run_in(&ArtifactStore::new(), workloads, cfg)
-    }
-
-    /// [`FigureNine::run`] with program preparation served from a shared
-    /// [`ArtifactStore`].
+    /// Times every workload under every Figure 9 technique, with program
+    /// preparation served from a shared [`ArtifactStore`].
     pub fn run_in(
         store: &ArtifactStore,
         workloads: &[Box<dyn Workload>],
@@ -359,7 +341,12 @@ mod tests {
             threads: 2,
             ..Default::default()
         };
-        let fig = FigureEight::run(&tiny_suite(), &cfg);
+        let fig = FigureEight::run_in(
+            &ArtifactStore::new(),
+            &tiny_suite(),
+            &Technique::FIGURE8,
+            &cfg,
+        );
         assert_eq!(fig.cells.len(), 2 * Technique::FIGURE8.len());
         let text = fig.to_string();
         assert!(text.contains("Average"), "{text}");
@@ -402,8 +389,8 @@ mod tests {
         let fig9 = FigureNine::run_in(&store, &suite, &PerfConfig::default());
         assert_eq!(store.hits(), cells, "every fig9 cell must hit");
 
-        let fresh8 = FigureEight::run(&suite, &cfg);
-        let fresh9 = FigureNine::run(&suite, &PerfConfig::default());
+        let fresh8 = FigureEight::run_in(&ArtifactStore::new(), &suite, &Technique::FIGURE8, &cfg);
+        let fresh9 = FigureNine::run_in(&ArtifactStore::new(), &suite, &PerfConfig::default());
         for (a, b) in fig8.cells.iter().zip(&fresh8.cells) {
             assert_eq!(a.counts, b.counts, "{}/{}", a.workload, a.technique);
         }
@@ -414,7 +401,7 @@ mod tests {
 
     #[test]
     fn figure9_normalizes_to_noft() {
-        let fig = FigureNine::run(&tiny_suite(), &PerfConfig::default());
+        let fig = FigureNine::run_in(&ArtifactStore::new(), &tiny_suite(), &PerfConfig::default());
         assert!((fig.normalized("adpcmdec", Technique::Noft).unwrap() - 1.0).abs() < 1e-12);
         let s = fig.geomean(Technique::SwiftR);
         assert!(s > 1.0 && s < 4.0, "geomean {s}");

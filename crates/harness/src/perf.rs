@@ -38,13 +38,9 @@ impl PerfResult {
 }
 
 /// Runs `workload` under `technique` with the timing model, fault-free.
-pub fn measure_perf(workload: &dyn Workload, technique: Technique, cfg: &PerfConfig) -> PerfResult {
-    measure_perf_in(&ArtifactStore::new(), workload, technique, cfg)
-}
-
-/// [`measure_perf`] with program preparation served from a shared
-/// [`ArtifactStore`] — a timing run after a reliability campaign on the
-/// same coordinates reuses the campaign's transformed program.
+/// Program preparation is served from `store`, so a timing run after a
+/// reliability campaign on the same coordinates reuses the campaign's
+/// transformed program (a one-off run passes `&ArtifactStore::new()`).
 pub fn measure_perf_in(
     store: &ArtifactStore,
     workload: &dyn Workload,
@@ -87,8 +83,9 @@ mod tests {
             seed: 1,
         };
         let cfg = PerfConfig::default();
-        let noft = measure_perf(&w, Technique::Noft, &cfg);
-        let swiftr = measure_perf(&w, Technique::SwiftR, &cfg);
+        let store = ArtifactStore::new();
+        let noft = measure_perf_in(&store, &w, Technique::Noft, &cfg);
+        let swiftr = measure_perf_in(&store, &w, Technique::SwiftR, &cfg);
         let ratio = swiftr.cycles as f64 / noft.cycles as f64;
         assert!(ratio > 1.2, "SWIFT-R ratio {ratio}");
         // But far below the naive 3x, thanks to spare ILP.
@@ -105,8 +102,9 @@ mod tests {
             seed: 2,
         };
         let cfg = PerfConfig::default();
-        let noft = measure_perf(&w, Technique::Noft, &cfg);
-        let swiftr = measure_perf(&w, Technique::SwiftR, &cfg);
+        let store = ArtifactStore::new();
+        let noft = measure_perf_in(&store, &w, Technique::Noft, &cfg);
+        let swiftr = measure_perf_in(&store, &w, Technique::SwiftR, &cfg);
         let ratio = swiftr.cycles as f64 / noft.cycles as f64;
         // The campaign-sized `art` measures ~1.66x (see EXPERIMENTS.md);
         // this reduced instance has proportionally more integer loop
@@ -122,9 +120,10 @@ mod tests {
             seed: 2,
         };
         let cfg = PerfConfig::default();
-        let noft = measure_perf(&w, Technique::Noft, &cfg);
+        let store = ArtifactStore::new();
+        let noft = measure_perf_in(&store, &w, Technique::Noft, &cfg);
         assert!(noft.miss_ratio > 0.2, "miss ratio {}", noft.miss_ratio);
-        let trump = measure_perf(&w, Technique::Trump, &cfg);
+        let trump = measure_perf_in(&store, &w, Technique::Trump, &cfg);
         let ratio = trump.cycles as f64 / noft.cycles as f64;
         assert!(ratio < 1.9, "mcf TRUMP ratio {ratio}");
     }

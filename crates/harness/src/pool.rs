@@ -1,8 +1,8 @@
 //! The shared injection worker pool.
 //!
-//! Every campaign flavour — sampled ([`crate::run_campaign`]), triaged
-//! ([`crate::run_triaged_campaign`]) and certified
-//! ([`crate::run_certified_campaign`]), under every fault model — injects
+//! Every campaign flavour — sampled ([`crate::run_campaign_in`]), triaged
+//! ([`crate::run_triaged_campaign_resumable`]) and certified
+//! ([`crate::certify_resumable`]), under every fault model — injects
 //! through [`inject_faults`]: resolve the thread count, spawn scoped
 //! workers, give each a reusable machine arena, work-steal fault indices
 //! off a shared atomic, fold per-worker results, merge commutatively. Its
@@ -35,17 +35,15 @@ pub fn resolve_threads(threads: usize) -> usize {
 }
 
 /// Builds the injection runner every campaign flavour shares: the golden
-/// run plus checkpoint store, optionally reusing predecoded and compiled
-/// native images from the artifact store.
+/// run plus its auto-sized checkpoint store, optionally reusing
+/// predecoded and compiled native images from the artifact store.
 pub(crate) fn build_runner<'p>(
     program: &'p Program,
     decoded: Option<Arc<DecodedProg>>,
     jit: Option<Arc<sor_sim::JitProg>>,
-    checkpoint_interval: u64,
     engine: ExecEngine,
 ) -> Runner<'p> {
     let mcfg = MachineConfig {
-        checkpoint_interval,
         engine,
         ..MachineConfig::default()
     };

@@ -1,13 +1,14 @@
 //! Shared JSON renderers for campaign artifacts.
 //!
-//! The `certify` / `triage` batch bins and the `sor-server` job executor
-//! must emit **byte-identical** `results/*.json` files for the same
-//! logical result — that pin is what keeps the service honest against
-//! the batch oracle. The only way to guarantee it is to render through
-//! one function, so the exact `format!` strings live here and both
-//! consumers call them.
+//! The `certify` / `triage` / `fig8` batch bins and the `sor-server` job
+//! executor must emit **byte-identical** `results/*.json` files under the
+//! same names for the same logical result — that pin is what keeps the
+//! service honest against the batch oracle. The only way to guarantee it
+//! is to name and render through one function each, so the exact
+//! `format!` strings live here and both consumers call them.
 
 use sor_ace::CertifiedCoverage;
+use sor_core::Technique;
 use sor_ir::Program;
 use sor_models::FaultModel;
 use std::fmt::Display;
@@ -34,6 +35,29 @@ pub fn technique_slug(technique: impl Display) -> String {
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
         .collect()
+}
+
+/// The file name of a result artifact:
+/// `<stem>[_<model>][_<technique slug>].<ext>`. Default-model artifacts
+/// keep their legacy names (`certified_swift-r.json`, `fig8.csv`);
+/// generalized models insert their slug (`certified_pc-corrupt_swift-r.json`,
+/// `fig8_pc-corrupt.csv`), so one model's sweep never overwrites
+/// another's. The bins and the `sor-server` job executor both name their
+/// artifacts here.
+pub fn result_name(
+    stem: &str,
+    model: FaultModel,
+    technique: Option<Technique>,
+    ext: &str,
+) -> String {
+    let mut name = stem.to_string();
+    if !model.is_default() {
+        name = format!("{name}_{}", model.slug());
+    }
+    if let Some(t) = technique {
+        name = format!("{name}_{}", technique_slug(t));
+    }
+    format!("{name}.{ext}")
 }
 
 /// Renders a certified-coverage report as the `certified_<slug>.json`

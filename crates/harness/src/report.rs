@@ -120,6 +120,7 @@ impl fmt::Display for Headline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::ArtifactStore;
     use crate::campaign::CampaignConfig;
     use crate::perf::PerfConfig;
     use sor_workloads::{AdpcmDec, Workload};
@@ -135,8 +136,9 @@ mod tests {
             threads: 2,
             ..Default::default()
         };
-        let fig8 = FigureEight::run(&suite, &cfg);
-        let fig9 = FigureNine::run(&suite, &PerfConfig::default());
+        let store = ArtifactStore::new();
+        let fig8 = FigureEight::run_in(&store, &suite, &Technique::FIGURE8, &cfg);
+        let fig9 = FigureNine::run_in(&store, &suite, &PerfConfig::default());
         let h = headline(&fig8, &fig9);
         assert_eq!(h.rows().len(), Technique::FIGURE8.len());
         let noft = h.row(Technique::Noft).unwrap();

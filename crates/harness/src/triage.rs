@@ -1,8 +1,8 @@
 //! Triage-enabled campaigns and residual-SDC attribution.
 //!
 //! A triaged campaign runs the exact same pre-drawn fault list as
-//! [`run_campaign`](crate::run_campaign) — same seed derivation, same
-//! work-stealing workers — but each worker records provenance-annotated
+//! [`run_campaign_in`](crate::run_campaign_in) — same seed derivation,
+//! same work-stealing workers — but each worker records provenance-annotated
 //! [`sor_sim::GenFaultRecord`]s into a local [`VulnerabilityProfile`], and the
 //! per-worker profiles are merged (commutatively, so results are
 //! thread-count independent) into the campaign profile. The aggregate
@@ -10,14 +10,13 @@
 
 use crate::artifact::ArtifactStore;
 use crate::campaign::{draw_gen_faults, CampaignConfig, CampaignResult};
-use crate::ctrl::RunCtrl;
+use crate::ctrl::{Progress, RunCtrl, Status};
 use crate::pool;
 use crate::store::{triage_section_key, ResultStore};
 use sor_core::Technique;
 use sor_ir::{Digest, Program, ProtectionRole};
 use sor_regalloc::LowerConfig;
 use sor_sim::{DecodedProg, FaultSpec, GenFault};
-use sor_stats::OutcomeCounts;
 use sor_triage::{SectionalTriage, VulnerabilityProfile};
 use sor_workloads::Workload;
 use std::sync::Arc;
@@ -31,50 +30,10 @@ pub struct TriagedCampaign {
     pub profile: VulnerabilityProfile,
 }
 
-/// [`run_campaign`](crate::run_campaign), with per-fault-site triage.
-pub fn run_triaged_campaign(
-    workload: &dyn Workload,
-    technique: Technique,
-    cfg: &CampaignConfig,
-) -> TriagedCampaign {
-    run_triaged_campaign_in(&ArtifactStore::new(), workload, technique, cfg)
-}
-
-/// [`run_triaged_campaign`] with program preparation served from a shared
-/// [`ArtifactStore`].
-pub fn run_triaged_campaign_in(
-    store: &ArtifactStore,
-    workload: &dyn Workload,
-    technique: Technique,
-    cfg: &CampaignConfig,
-) -> TriagedCampaign {
-    let artifact = store.get(workload, technique, &cfg.transform, &LowerConfig::default());
-    let (profile, golden_instrs) = inject_profiled(
-        &artifact.program,
-        Some(Arc::clone(&artifact.decoded)),
-        artifact.jit_for(cfg.engine),
-        cfg,
-        workload.name(),
-        technique,
-    );
-    let result = CampaignResult {
-        workload: workload.name().to_string(),
-        technique,
-        counts: profile.totals(),
-        golden_instrs,
-    };
-    TriagedCampaign { result, profile }
-}
-
-/// [`run_triaged_campaign_in`] through the incremental path: the fault
-/// list is partitioned into [`SectionalTriage`] sections and each
-/// section's profile is served from `results` when its content key —
-/// program digest, section bounds + exact fault list, fault model (see
-/// [`triage_section_key`]) — matches a stored entry; only missing
-/// sections re-inject. The composed profile is bit-identical to the
-/// monolithic [`run_triaged_campaign_in`] over the same configuration
-/// because the fault list is drawn identically (seed-pinned) and each
-/// fault's outcome is a pure function of `(program, fault)`.
+/// The triage driver run to completion: program preparation served from
+/// `artifacts`, section profiles served from (and inserted into)
+/// `results`. The triage bin's `--no-store` passes a
+/// [`ResultStore::in_memory`] that is never persisted.
 pub fn run_triaged_campaign_stored(
     artifacts: &ArtifactStore,
     results: &ResultStore,
@@ -93,47 +52,33 @@ pub fn run_triaged_campaign_stored(
         None,
         &mut |_| {},
     ) {
-        TriageStatus::Done(t) => t,
-        TriageStatus::Paused(_) => unreachable!("no control, so the driver never pauses"),
+        Status::Done(t) => t,
+        Status::Paused => unreachable!("no control, so the driver never pauses"),
     }
 }
 
-/// A snapshot of a resumable triaged campaign's position, emitted after
-/// every resolved section (and carried by [`TriageStatus::Paused`]).
-#[derive(Debug, Clone, Default)]
-pub struct TriageProgress {
-    /// Sections resolved so far (cached hits + freshly injected).
-    pub sections_done: usize,
-    /// Sections the fault list was split into.
-    pub sections_total: usize,
-    /// Sections served from the store without injecting anything.
-    pub sections_hit: usize,
-    /// Injections executed by this run so far.
-    pub fresh_injections: u64,
-    /// Outcome histogram aggregated over every resolved section.
-    pub counts: OutcomeCounts,
-}
-
-/// What a resumable triaged campaign run ended as.
-#[derive(Debug, Clone)]
-pub enum TriageStatus {
-    /// Every section resolved; the composed profile is bit-identical to
-    /// the monolithic campaign's.
-    Done(TriagedCampaign),
-    /// A stop was requested: completed sections are persisted in the
-    /// store, and re-invoking with the same arguments resumes from here.
-    Paused(TriageProgress),
-}
-
-/// [`run_triaged_campaign_stored`], pausable at section boundaries.
+/// The one triage driver: runs [`run_campaign_in`](crate::run_campaign_in)'s
+/// exact pre-drawn fault list with per-fault-site attribution, section by
+/// section, pausable at section boundaries.
 ///
-/// Same contract as [`crate::certify_resumable`]: missing sections
+/// The fault list is partitioned into [`SectionalTriage`] sections and
+/// each section's profile is served from `results` when its content key
+/// — program digest, section bounds + exact fault list, fault model (see
+/// [`triage_section_key`]) — matches a stored entry; only missing
+/// sections inject. The composed profile is bit-identical to injecting
+/// the whole list at once, whatever the section count, because the fault
+/// list is drawn identically (seed-pinned) and each fault's outcome is a
+/// pure function of `(program, fault)`.
+///
+/// Same pause contract as [`crate::certify_resumable`]: missing sections
 /// inject one at a time, each persisted to `results` as it completes,
 /// `on_progress` fires after every resolved section, and a stop request
-/// returns [`TriageStatus::Paused`] before the next section starts — a
-/// later identical call re-serves the finished sections as hits and
-/// executes only the remainder, composing a profile bit-identical to the
-/// monolithic campaign however many pauses it took.
+/// returns [`Status::Paused`] before the next section starts — a later
+/// identical call re-serves the finished sections as hits and executes
+/// only the remainder.
+///
+/// Non-default fault models take the driver's one monolithic branch (one
+/// all-or-nothing "section") and never touch the store.
 #[allow(clippy::too_many_arguments)]
 pub fn run_triaged_campaign_resumable(
     artifacts: &ArtifactStore,
@@ -143,14 +88,13 @@ pub fn run_triaged_campaign_resumable(
     cfg: &CampaignConfig,
     nsections: usize,
     ctrl: Option<&RunCtrl>,
-    on_progress: &mut dyn FnMut(&TriageProgress),
-) -> TriageStatus {
+    on_progress: &mut dyn FnMut(&Progress),
+) -> Status<TriagedCampaign> {
     let artifact = artifacts.get(workload, technique, &cfg.transform, &LowerConfig::default());
     if !cfg.fault_model.is_default() {
-        // Non-default models triage monolithically and bypass the store:
         // `triage_section_key` digests legacy `FaultSpec` lists, which
         // cannot represent generalized effects — a silent alias would be
-        // worse than a recompute. One all-or-nothing "section".
+        // worse than a recompute.
         let (profile, golden_instrs) = inject_profiled(
             &artifact.program,
             Some(Arc::clone(&artifact.decoded)),
@@ -159,27 +103,25 @@ pub fn run_triaged_campaign_resumable(
             workload.name(),
             technique,
         );
-        let progress = TriageProgress {
-            sections_done: 1,
-            sections_total: 1,
-            sections_hit: 0,
+        on_progress(&Progress {
+            done: 1,
+            total: 1,
+            hits: 0,
             fresh_injections: profile.injections(),
             counts: profile.totals(),
-        };
-        on_progress(&progress);
+        });
         let result = CampaignResult {
             workload: workload.name().to_string(),
             technique,
             counts: profile.totals(),
             golden_instrs,
         };
-        return TriageStatus::Done(TriagedCampaign { result, profile });
+        return Status::Done(TriagedCampaign { result, profile });
     }
     let runner = pool::build_runner(
         &artifact.program,
         Some(Arc::clone(&artifact.decoded)),
         artifact.jit_for(cfg.engine),
-        cfg.checkpoint_interval,
         cfg.engine,
     );
     let golden_instrs = runner.golden().dyn_instrs;
@@ -199,9 +141,9 @@ pub fn run_triaged_campaign_resumable(
     let triage = SectionalTriage::partition(&faults, nsections);
     let program_digest = artifact.program.content_digest();
 
-    let mut progress = TriageProgress {
-        sections_total: triage.sections.len(),
-        ..TriageProgress::default()
+    let mut progress = Progress {
+        total: triage.sections.len() as u64,
+        ..Progress::default()
     };
     let mut profile = VulnerabilityProfile::new();
     for section in &triage.sections {
@@ -209,7 +151,7 @@ pub fn run_triaged_campaign_resumable(
         let cached = results.get_triage(&key, |p| p.injections() == section.faults.len() as u64);
         let hit = cached.is_some();
         if !hit && ctrl.is_some_and(|c| c.stop_requested()) {
-            return TriageStatus::Paused(progress);
+            return Status::Paused;
         }
         let section_profile = cached.unwrap_or_else(|| {
             let faults: Vec<GenFault> = section.faults.iter().map(|&f| f.into()).collect();
@@ -224,9 +166,9 @@ pub fn run_triaged_campaign_resumable(
             results.put_triage(key, fresh)
         });
         profile.merge(&section_profile);
-        progress.sections_done += 1;
+        progress.done += 1;
         if hit {
-            progress.sections_hit += 1;
+            progress.hits += 1;
         } else {
             progress.fresh_injections += section.faults.len() as u64;
         }
@@ -240,9 +182,11 @@ pub fn run_triaged_campaign_resumable(
         counts: profile.totals(),
         golden_instrs,
     };
-    TriageStatus::Done(TriagedCampaign { result, profile })
+    Status::Done(TriagedCampaign { result, profile })
 }
 
+/// Injects the campaign's whole fault list in one pass into a single
+/// profile: the driver's branch for non-default models.
 fn inject_profiled(
     program: &Program,
     decoded: Option<Arc<DecodedProg>>,
@@ -251,7 +195,7 @@ fn inject_profiled(
     wl_name: &str,
     technique: Technique,
 ) -> (VulnerabilityProfile, u64) {
-    let runner = pool::build_runner(program, decoded, jit, cfg.checkpoint_interval, cfg.engine);
+    let runner = pool::build_runner(program, decoded, jit, cfg.engine);
     let golden_len = runner.golden().dyn_instrs;
     let faults = draw_gen_faults(cfg, wl_name, technique, program, golden_len);
     // Same shared worker pool as the plain campaign; profile merge is
@@ -309,10 +253,28 @@ pub fn residual_sdc_table(campaigns: &[TriagedCampaign]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::run_campaign;
+    use crate::campaign::run_campaign_in;
     use sor_sim::{MachineConfig, Runner};
     use sor_triage::SectionalTriage;
     use sor_workloads::{AdpcmDec, Mpeg2Enc, Workload};
+
+    /// The driver on fresh stores, as the triage bin's `--no-store` runs it.
+    fn triage(w: &dyn Workload, technique: Technique, cfg: &CampaignConfig) -> TriagedCampaign {
+        let results = ResultStore::in_memory();
+        run_triaged_campaign_stored(&ArtifactStore::new(), &results, w, technique, cfg, 4)
+    }
+
+    /// The monolithic reference: the campaign's whole fault list injected
+    /// in one pass into one profile.
+    fn monolithic(
+        w: &dyn Workload,
+        technique: Technique,
+        cfg: &CampaignConfig,
+    ) -> VulnerabilityProfile {
+        let artifact =
+            ArtifactStore::new().get(w, technique, &cfg.transform, &LowerConfig::default());
+        inject_profiled(&artifact.program, None, None, cfg, w.name(), technique).0
+    }
 
     fn small_cfg() -> CampaignConfig {
         CampaignConfig {
@@ -329,8 +291,8 @@ mod tests {
             samples: 150,
             seed: 7,
         };
-        let plain = run_campaign(&w, Technique::SwiftR, &small_cfg());
-        let triaged = run_triaged_campaign(&w, Technique::SwiftR, &small_cfg());
+        let plain = run_campaign_in(&ArtifactStore::new(), &w, Technique::SwiftR, &small_cfg());
+        let triaged = triage(&w, Technique::SwiftR, &small_cfg());
         assert_eq!(triaged.result.counts, plain.counts);
         assert_eq!(triaged.result.golden_instrs, plain.golden_instrs);
         assert_eq!(triaged.profile.totals(), plain.counts);
@@ -347,9 +309,34 @@ mod tests {
         c1.threads = 1;
         let mut c4 = small_cfg();
         c4.threads = 4;
-        let a = run_triaged_campaign(&w, Technique::Trump, &c1);
-        let b = run_triaged_campaign(&w, Technique::Trump, &c4);
+        let a = triage(&w, Technique::Trump, &c1);
+        let b = triage(&w, Technique::Trump, &c4);
         assert_eq!(a.profile, b.profile);
+    }
+
+    /// The sectional driver composes exactly the profile a monolithic
+    /// one-pass injection of the same fault list records, at every
+    /// section count.
+    #[test]
+    fn sectional_driver_matches_monolithic_injection() {
+        let w = AdpcmDec {
+            samples: 100,
+            seed: 3,
+        };
+        for technique in [Technique::SwiftR, Technique::Noft] {
+            let reference = monolithic(&w, technique, &small_cfg());
+            for nsections in [1, 3, 8] {
+                let t = run_triaged_campaign_stored(
+                    &ArtifactStore::new(),
+                    &ResultStore::in_memory(),
+                    &w,
+                    technique,
+                    &small_cfg(),
+                    nsections,
+                );
+                assert_eq!(t.profile, reference, "{technique}/{nsections} sections");
+            }
+        }
     }
 
     /// The sectional-triage exactness pin: composing independently
@@ -413,8 +400,8 @@ mod tests {
     }
 
     /// Generalized-model triage aggregates exactly the campaign's counts,
-    /// and the stored entry point degrades to the same monolithic profile
-    /// (the store is SEU-sectional only).
+    /// and the driver degrades to the monolithic profile without touching
+    /// the store (the store is SEU-sectional only).
     #[test]
     fn generalized_model_triage_matches_its_campaign_counts() {
         let w = AdpcmDec {
@@ -424,11 +411,8 @@ mod tests {
         let mut cfg = small_cfg();
         cfg.runs = 30;
         cfg.fault_model = sor_models::FaultModel::TransientAlu;
-        let plain = run_campaign(&w, Technique::SwiftR, &cfg);
-        let triaged = run_triaged_campaign(&w, Technique::SwiftR, &cfg);
-        assert_eq!(triaged.result.counts, plain.counts);
-        assert_eq!(triaged.profile.totals(), plain.counts);
-        let store = crate::store::ResultStore::in_memory();
+        let plain = run_campaign_in(&ArtifactStore::new(), &w, Technique::SwiftR, &cfg);
+        let store = ResultStore::in_memory();
         let stored = run_triaged_campaign_stored(
             &ArtifactStore::new(),
             &store,
@@ -437,7 +421,9 @@ mod tests {
             &cfg,
             4,
         );
-        assert_eq!(stored.profile, triaged.profile);
+        assert_eq!(stored.result.counts, plain.counts);
+        assert_eq!(stored.profile.totals(), plain.counts);
+        assert_eq!(stored.profile, monolithic(&w, Technique::SwiftR, &cfg));
         assert!(store.is_empty(), "generalized triage must bypass the store");
     }
 
@@ -449,7 +435,7 @@ mod tests {
         };
         let results: Vec<TriagedCampaign> = [Technique::Noft, Technique::SwiftR]
             .iter()
-            .map(|&t| run_triaged_campaign(&w, t, &small_cfg()))
+            .map(|&t| triage(&w, t, &small_cfg()))
             .collect();
         let table = residual_sdc_table(&results);
         assert!(table.contains("| adpcmdec | NOFT |"), "{table}");

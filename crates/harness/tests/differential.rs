@@ -22,8 +22,9 @@
 
 use sor_core::Technique;
 use sor_harness::{
-    run_campaign, run_certified_campaign, run_triaged_campaign, ArtifactStore, CampaignConfig,
-    CertifyConfig, FaultModel, SampleCtx,
+    run_campaign_in, run_certified_campaign_stored, run_triaged_campaign_stored, ArtifactStore,
+    CampaignConfig, CampaignResult, CertifyConfig, FaultModel, ResultStore, SampleCtx,
+    TriagedCampaign,
 };
 use sor_regalloc::LowerConfig;
 use sor_rng::SmallRng;
@@ -50,6 +51,21 @@ fn workloads() -> Vec<Box<dyn Workload>> {
             seed: 3,
         }),
     ]
+}
+
+/// A campaign on a fresh artifact store.
+fn run_campaign(w: &dyn Workload, technique: Technique, cfg: &CampaignConfig) -> CampaignResult {
+    run_campaign_in(&ArtifactStore::new(), w, technique, cfg)
+}
+
+/// The triage driver on fresh stores.
+fn run_triaged_campaign(
+    w: &dyn Workload,
+    technique: Technique,
+    cfg: &CampaignConfig,
+) -> TriagedCampaign {
+    let results = ResultStore::in_memory();
+    run_triaged_campaign_stored(&ArtifactStore::new(), &results, w, technique, cfg, 4)
 }
 
 fn engine_cfg(engine: ExecEngine, checkpoint_interval: u64) -> MachineConfig {
@@ -266,8 +282,14 @@ fn jit_certified_campaigns_match_decoded() {
                 engine,
                 ..Default::default()
             };
-            let decoded = run_certified_campaign(w.as_ref(), technique, &cfg(ExecEngine::Decoded));
-            let jit = run_certified_campaign(w.as_ref(), technique, &cfg(ExecEngine::Jit));
+            let certify = |engine| {
+                let results = ResultStore::in_memory();
+                let (artifacts, w) = (ArtifactStore::new(), w.as_ref());
+                run_certified_campaign_stored(&artifacts, &results, w, technique, &cfg(engine))
+                    .coverage
+            };
+            let decoded = certify(ExecEngine::Decoded);
+            let jit = certify(ExecEngine::Jit);
             assert_eq!(jit, decoded, "{label}: certified report diverged under jit");
         }
     }

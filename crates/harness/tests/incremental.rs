@@ -12,7 +12,7 @@
 
 use sor_core::Technique;
 use sor_harness::{
-    certify_incremental, certify_program, run_triaged_campaign_in, run_triaged_campaign_stored,
+    certify_incremental, certify_program, run_campaign_in, run_triaged_campaign_stored,
     ArtifactStore, CampaignConfig, CertifyConfig, ResultStore,
 };
 use sor_ir::{MemWidth, ModuleBuilder, Operand, Program, Width};
@@ -85,7 +85,7 @@ fn incremental_equals_monolithic_cold_and_warm() {
             ("memsel", mem_program(technique)),
         ] {
             let label = format!("{name}/{technique}");
-            let reference = certify_program(&program, name, &technique.to_string(), 2, 3);
+            let reference = certify_program(&program, name, &technique.to_string(), 2);
             let store = ResultStore::in_memory();
             let cold = certify_incremental(
                 &store,
@@ -141,7 +141,7 @@ fn mutating_one_workload_reexecutes_exactly_its_sections() {
         let edited = certify_incremental(&store, &edited_v2, None, None, "chain", "t", &cfg());
         assert_eq!(edited.sections_hit, 0, "{label}: served a stale section");
         assert!(edited.fresh_injections > 0, "{label}: nothing re-executed");
-        let reference = certify_program(&edited_v2, "chain", "t", 1, 0);
+        let reference = certify_program(&edited_v2, "chain", "t", 1);
         assert_eq!(edited.coverage, reference, "{label}: edited run diverged");
 
         // ...while the bystander program's sections are exactly the
@@ -160,7 +160,7 @@ fn mutating_one_workload_reexecutes_exactly_its_sections() {
         assert_eq!(v1_again.fresh_injections, 0, "{label}: v1 evicted");
         assert_eq!(
             v1_again.coverage,
-            certify_program(&edited_v1, "chain", "t", 1, 0),
+            certify_program(&edited_v1, "chain", "t", 1),
             "{label}: v1 diverged"
         );
     }
@@ -173,7 +173,7 @@ fn mutating_one_workload_reexecutes_exactly_its_sections() {
 fn damaged_disk_store_recovers_with_identical_results() {
     let technique = Technique::SwiftR;
     let program = mem_program(technique);
-    let reference = certify_program(&program, "memsel", "SWIFT-R", 2, 3);
+    let reference = certify_program(&program, "memsel", "SWIFT-R", 2);
     let dir = temp_dir("damage");
 
     // Prime a healthy on-disk store.
@@ -237,7 +237,7 @@ fn pre_fault_model_store_is_detected_stale_and_recomputed_identically() {
     );
     let technique = Technique::SwiftR;
     let program = mem_program(technique);
-    let reference = certify_program(&program, "memsel", "SWIFT-R", 2, 3);
+    let reference = certify_program(&program, "memsel", "SWIFT-R", 2);
     let dir = temp_dir("precompat");
 
     // Prime a healthy store, then rewrite its header version to 1 — the
@@ -272,9 +272,9 @@ fn pre_fault_model_store_is_detected_stale_and_recomputed_identically() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The stored triage path composes section profiles bit-identically to
-/// the monolithic triaged campaign, and a warm re-run serves every
-/// section from the store.
+/// The triage driver composes the same profile whatever the section
+/// count (one section is a monolithic pass), its counts equal the plain
+/// campaign's, and a warm re-run serves every section from the store.
 #[test]
 fn stored_triage_matches_monolithic_and_warms_up() {
     let w = AdpcmDec {
@@ -288,7 +288,16 @@ fn stored_triage_matches_monolithic_and_warms_up() {
         ..Default::default()
     };
     let artifacts = ArtifactStore::new();
-    let monolithic = run_triaged_campaign_in(&artifacts, &w, Technique::SwiftR, &cfg);
+    let monolithic = run_triaged_campaign_stored(
+        &artifacts,
+        &ResultStore::in_memory(),
+        &w,
+        Technique::SwiftR,
+        &cfg,
+        1,
+    );
+    let plain = run_campaign_in(&artifacts, &w, Technique::SwiftR, &cfg);
+    assert_eq!(monolithic.result.counts, plain.counts);
 
     let results = ResultStore::in_memory();
     let cold = run_triaged_campaign_stored(&artifacts, &results, &w, Technique::SwiftR, &cfg, 4);
@@ -310,7 +319,7 @@ fn stored_triage_matches_monolithic_and_warms_up() {
 fn racing_certify_jobs_share_one_store_and_hit() {
     let technique = Technique::SwiftR;
     let program = std::sync::Arc::new(chain_program(technique, 23));
-    let reference = certify_program(&program, "chain", &technique.to_string(), 2, 3);
+    let reference = certify_program(&program, "chain", &technique.to_string(), 2);
     let dir = temp_dir("race");
     let store = ResultStore::open(&dir);
 

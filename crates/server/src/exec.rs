@@ -1,21 +1,21 @@
 //! Job execution: the bridge from registry jobs to the harness drivers.
 //!
-//! Each kind maps onto the resumable entry point that matches its batch
-//! bin — certify → [`certify_resumable`], triage →
-//! [`run_triaged_campaign_resumable`], campaign → cell-by-cell
-//! [`run_campaign_in`] with completed cells persisted in the registry.
-//! Result artifacts render through the *same* shared renderers the batch
-//! bins use ([`certified_json`], [`triage_json`],
-//! [`FigureEight::to_json`]), which is what pins server output
-//! byte-identical to batch output.
+//! Each kind runs the very driver its batch bin runs — certify →
+//! [`certify_resumable`], triage → [`run_triaged_campaign_resumable`],
+//! campaign → cell-by-cell [`run_campaign_in`] with completed cells
+//! persisted in the registry. Result artifacts are named by the shared
+//! [`result_name`] and render through the *same* shared renderers the
+//! batch bins use ([`certified_json`](sor_harness::certified_json),
+//! [`triage_json`](sor_harness::triage_json), [`FigureEight::to_json`]),
+//! which is what pins server output byte-identical to batch output.
 
-use crate::jobs::{JobKind, JobSpec, JobState, Progress};
+use crate::jobs::{JobKind, JobSpec, JobState};
 use crate::server::{recover, ServerState};
 use sor_core::Technique;
 use sor_harness::{
-    certified_json_model, certify_resumable, run_campaign_in, run_triaged_campaign_resumable,
-    technique_slug, triage_json_model, CampaignConfig, CampaignResult, CertifyConfig,
-    CertifyStatus, FaultModel, FigureEight, RunCtrl, TriageStatus,
+    certified_json_model, certify_resumable, result_name, run_campaign_in,
+    run_triaged_campaign_resumable, triage_json_model, CampaignConfig, CampaignResult,
+    CertifyConfig, FigureEight, Progress, RunCtrl, Status,
 };
 use sor_regalloc::LowerConfig;
 use sor_workloads::{all_workloads, AdpcmDec, Workload};
@@ -130,14 +130,14 @@ fn execute(
 /// Publishes a progress snapshot (persisted, so progress survives a
 /// kill), fires the one-shot `pause_after` trigger, and applies the
 /// `section_delay_ms` test hook.
-fn report(state: &ServerState, id: u64, spec: &JobSpec, ctrl: &RunCtrl, progress: Progress) {
+fn report(state: &ServerState, id: u64, spec: &JobSpec, ctrl: &RunCtrl, progress: &Progress) {
     if spec.pause_after.is_some_and(|n| progress.done >= n) {
         ctrl.request_stop();
     }
     {
         let mut reg = recover(state.registry.lock());
         if let Some(job) = reg.job_mut(id) {
-            job.progress = progress;
+            job.progress = progress.clone();
         }
         reg.persist();
     }
@@ -174,42 +174,14 @@ fn exec_certify(
         &spec.technique.to_string(),
         &cfg,
         Some(ctrl),
-        &mut |p| {
-            report(
-                state,
-                id,
-                spec,
-                ctrl,
-                Progress {
-                    done: p.sections_done as u64,
-                    total: p.sections_total as u64,
-                    hits: p.sections_hit as u64,
-                    fresh_injections: p.fresh_injections,
-                    counts: p.counts,
-                },
-            )
-        },
+        &mut |p| report(state, id, spec, ctrl, p),
     );
     match status {
-        CertifyStatus::Done(inc) => Ok(Outcome::Done {
-            name: format!(
-                "certified_{}{}.json",
-                model_prefix(spec.fault_model),
-                technique_slug(spec.technique)
-            ),
+        Status::Done(inc) => Ok(Outcome::Done {
+            name: result_name("certified", spec.fault_model, Some(spec.technique), "json"),
             bytes: certified_json_model(&inc.coverage, spec.fault_model),
         }),
-        CertifyStatus::Paused(_) => Ok(Outcome::Paused),
-    }
-}
-
-/// Artifact-name infix distinguishing generalized-model results from the
-/// legacy (default-model) ones, which keep their original filenames.
-fn model_prefix(model: FaultModel) -> String {
-    if model.is_default() {
-        String::new()
-    } else {
-        format!("{}_", model.slug())
+        Status::Paused => Ok(Outcome::Paused),
     }
 }
 
@@ -235,24 +207,10 @@ fn exec_triage(
         &cfg,
         spec.sections,
         Some(ctrl),
-        &mut |p| {
-            report(
-                state,
-                id,
-                spec,
-                ctrl,
-                Progress {
-                    done: p.sections_done as u64,
-                    total: p.sections_total as u64,
-                    hits: p.sections_hit as u64,
-                    fresh_injections: p.fresh_injections,
-                    counts: p.counts,
-                },
-            )
-        },
+        &mut |p| report(state, id, spec, ctrl, p),
     );
     match status {
-        TriageStatus::Done(t) => {
+        Status::Done(t) => {
             let artifact = state.artifacts.get(
                 workload.as_ref(),
                 spec.technique,
@@ -260,15 +218,11 @@ fn exec_triage(
                 &LowerConfig::default(),
             );
             Ok(Outcome::Done {
-                name: format!(
-                    "triage_{}{}.json",
-                    model_prefix(spec.fault_model),
-                    technique_slug(spec.technique)
-                ),
+                name: result_name("triage", spec.fault_model, Some(spec.technique), "json"),
                 bytes: triage_json_model(&t, &artifact.program, spec.runs, spec.fault_model),
             })
         }
-        TriageStatus::Paused(_) => Ok(Outcome::Paused),
+        Status::Paused => Ok(Outcome::Paused),
     }
 }
 
@@ -329,7 +283,7 @@ fn exec_campaign(
             id,
             spec,
             ctrl,
-            Progress {
+            &Progress {
                 done: cells.len() as u64,
                 total,
                 hits: restored,
@@ -344,13 +298,8 @@ fn exec_campaign(
         workloads: suite.iter().map(|w| w.name().to_string()).collect(),
         techniques: techniques.to_vec(),
     };
-    let name = if spec.fault_model.is_default() {
-        "fig8.json".to_string()
-    } else {
-        format!("fig8_{}.json", spec.fault_model.slug())
-    };
     Ok(Outcome::Done {
-        name,
+        name: result_name("fig8", spec.fault_model, None, "json"),
         bytes: fig.to_json_model(spec.fault_model),
     })
 }

@@ -12,7 +12,7 @@
 
 use crate::json::{escape, Json};
 use sor_core::Technique;
-use sor_harness::{CampaignResult, FaultModel, OutcomeCounts, RunCtrl};
+use sor_harness::{CampaignResult, FaultModel, OutcomeCounts, Progress, RunCtrl};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -243,24 +243,6 @@ impl JobSpec {
     }
 }
 
-/// The latest progress snapshot of a job: sections (or campaign cells)
-/// resolved, store hits, injections executed, and the aggregated outcome
-/// histogram the progress endpoint streams (with its Wilson interval, so
-/// clients watch the estimate narrow as the campaign converges).
-#[derive(Debug, Clone, Default)]
-pub struct Progress {
-    /// Work units (sections or cells) resolved so far.
-    pub done: u64,
-    /// Total work units.
-    pub total: u64,
-    /// Units served from the result store without executing.
-    pub hits: u64,
-    /// Injections executed by the current run.
-    pub fresh_injections: u64,
-    /// Aggregated outcome histogram over resolved units.
-    pub counts: OutcomeCounts,
-}
-
 /// One registered job.
 #[derive(Debug)]
 pub struct Job {
@@ -270,7 +252,10 @@ pub struct Job {
     pub spec: JobSpec,
     /// Lifecycle state.
     pub state: JobState,
-    /// Latest progress snapshot.
+    /// Latest progress snapshot: sections (or, for the campaign kind,
+    /// Figure-8 cells) resolved, store hits, injections executed, and the
+    /// aggregated outcome histogram the progress endpoint streams (with
+    /// its Wilson interval, so clients watch the estimate narrow).
     pub progress: Progress,
     /// Failure message, for `failed` jobs.
     pub error: Option<String>,

@@ -36,6 +36,6 @@ pub mod json;
 mod server;
 
 pub use client::Client;
-pub use jobs::{parse_technique, Job, JobKind, JobSpec, JobState, Progress, Registry};
+pub use jobs::{parse_technique, Job, JobKind, JobSpec, JobState, Registry};
 pub use json::Json;
 pub use server::{Server, ServerConfig, ServerHandle, ServerState};

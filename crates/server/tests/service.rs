@@ -11,9 +11,9 @@
 
 use sor_core::Technique;
 use sor_harness::{
-    certified_json, certified_json_model, certify_program_model, run_certified_campaign_in,
-    run_triaged_campaign_in, triage_json, ArtifactStore, CampaignConfig, CertifyConfig, FaultModel,
-    FigureEight,
+    certified_json, certified_json_model, certify_program, certify_program_model,
+    run_triaged_campaign_stored, triage_json, ArtifactStore, CampaignConfig, CertifyConfig,
+    FaultModel, FigureEight, ResultStore,
 };
 use sor_regalloc::LowerConfig;
 use sor_server::{Client, Json, Server, ServerConfig};
@@ -41,21 +41,26 @@ fn spawn(dir: &Path) -> (sor_server::ServerHandle, Client) {
     (handle, client)
 }
 
-/// What the `certify` batch bin writes for these parameters.
-fn certify_oracle(samples: u64, wseed: u64, sections: usize, technique: Technique) -> String {
-    let cfg = CertifyConfig {
-        threads: 2,
-        sections,
-        ..CertifyConfig::default()
+/// What the `certify` batch bin writes for these parameters, computed by
+/// the monolithic reference pass (independent of the sectional driver
+/// both the bin and the server run; the report is the same for every
+/// section count, so `sections` does not enter).
+fn certify_oracle(samples: u64, wseed: u64, technique: Technique) -> String {
+    let workload = AdpcmDec {
+        samples,
+        seed: wseed,
     };
-    let r = run_certified_campaign_in(
-        &ArtifactStore::new(),
-        &AdpcmDec {
-            samples,
-            seed: wseed,
-        },
+    let artifact = ArtifactStore::new().get(
+        &workload,
         technique,
-        &cfg,
+        &Default::default(),
+        &LowerConfig::default(),
+    );
+    let r = certify_program(
+        &artifact.program,
+        workload.name(),
+        &technique.to_string(),
+        2,
     );
     certified_json(&r)
 }
@@ -87,7 +92,7 @@ fn certify_job_bytes_match_the_batch_bin() {
     );
 
     let bytes = client.result_bytes(id).expect("result");
-    assert_eq!(bytes, certify_oracle(6, 1, 4, Technique::SwiftR));
+    assert_eq!(bytes, certify_oracle(6, 1, Technique::SwiftR));
 
     handle.shutdown();
     handle.join();
@@ -102,7 +107,7 @@ fn certify_job_bytes_match_the_batch_bin() {
 #[test]
 fn jobs_carrying_a_lanes_key_still_run_byte_identically() {
     let dir = temp_dir("lanes-key");
-    let oracle = certify_oracle(4, 1, 2, Technique::SwiftR);
+    let oracle = certify_oracle(4, 1, Technique::SwiftR);
     let body =
         r#"{"kind": "certify", "technique": "swift-r", "samples": 4, "sections": 2, "threads": 2"#;
 
@@ -170,7 +175,7 @@ fn same_named_artifacts_stay_per_job() {
             job.get("artifact").and_then(Json::as_str),
             Some("certified_swift.json")
         );
-        jobs.push((id, certify_oracle(4, wseed, 2, Technique::Swift)));
+        jobs.push((id, certify_oracle(4, wseed, Technique::Swift)));
     }
     assert_ne!(jobs[0].1, jobs[1].1, "the two workloads must differ");
     for (id, oracle) in &jobs {
@@ -284,7 +289,7 @@ fn paused_then_resumed_certify_reexecutes_only_the_remainder() {
     let bytes = client.result_bytes(id).expect("result");
     assert_eq!(
         bytes,
-        certify_oracle(6, 1, 6, Technique::Trump),
+        certify_oracle(6, 1, Technique::Trump),
         "pause/resume must not change a single byte"
     );
 
@@ -332,7 +337,7 @@ fn graceful_shutdown_drains_to_a_boundary_and_a_restart_resumes() {
         );
     }
     let bytes = client.result_bytes(id).expect("result");
-    assert_eq!(bytes, certify_oracle(6, 1, 6, Technique::Mask));
+    assert_eq!(bytes, certify_oracle(6, 1, Technique::Mask));
 
     handle.shutdown();
     handle.join();
@@ -392,7 +397,7 @@ fn killed_server_restarts_with_the_job_paused_and_finishes_identically() {
     let bytes = client.result_bytes(id).expect("result");
     assert_eq!(
         bytes,
-        certify_oracle(6, 1, 6, Technique::Noft),
+        certify_oracle(6, 1, Technique::Noft),
         "a kill -9 must not change a single byte of the result"
     );
 
@@ -426,7 +431,8 @@ fn triage_job_bytes_match_the_batch_bin() {
         ..CampaignConfig::default()
     };
     let store = ArtifactStore::new();
-    let t = run_triaged_campaign_in(&store, &workload, Technique::Trump, &cfg);
+    let results = ResultStore::in_memory();
+    let t = run_triaged_campaign_stored(&store, &results, &workload, Technique::Trump, &cfg, 1);
     let artifact = store.get(
         &workload,
         Technique::Trump,

@@ -16,6 +16,7 @@ fn main() {
         runs: 400,
         ..CampaignConfig::default()
     };
+    let store = ArtifactStore::new();
     println!(
         "{:<14} {:>8} {:>8} {:>8} {:>12}",
         "technique", "unACE%", "SEGV%", "SDC%", "recoveries"
@@ -29,7 +30,7 @@ fn main() {
         T::SwiftR,
         T::Swift,
     ] {
-        let r = run_campaign(workload.as_ref(), t, &cfg);
+        let r = run_campaign_in(&store, workload.as_ref(), t, &cfg);
         println!(
             "{:<14} {:>8.1} {:>8.1} {:>8.1} {:>12}",
             t.to_string(),

@@ -9,6 +9,7 @@
 //! cargo run --release --example tradeoff_explorer
 //! ```
 
+use software_only_recovery::harness::measure_perf_in;
 use software_only_recovery::prelude::*;
 use software_only_recovery::recovery::Technique as T;
 use software_only_recovery::workloads::{AdpcmDec, Mcf, Mpeg2Enc};
@@ -24,6 +25,9 @@ fn main() {
         ..CampaignConfig::default()
     };
     let perf = PerfConfig::default();
+    // One artifact store: each program is prepared once and shared by its
+    // campaign and its timing runs.
+    let store = ArtifactStore::new();
 
     println!(
         "{:<14} {:>10} {:>12} {:>18}",
@@ -35,11 +39,11 @@ fn main() {
         let mut bad = 0.0;
         let mut norm = 1.0f64;
         for w in &suite {
-            let r = run_campaign(w.as_ref(), t, &campaign);
+            let r = run_campaign_in(&store, w.as_ref(), t, &campaign);
             unace += r.counts.pct_unace();
             bad += r.counts.pct_bad();
-            let base = measure_perf_cycles(w.as_ref(), T::Noft, &perf);
-            let mine = measure_perf_cycles(w.as_ref(), t, &perf);
+            let base = measure_perf_in(&store, w.as_ref(), T::Noft, &perf).cycles;
+            let mine = measure_perf_in(&store, w.as_ref(), t, &perf).cycles;
             norm *= mine as f64 / base as f64;
         }
         unace /= suite.len() as f64;
@@ -63,12 +67,4 @@ fn main() {
     }
     println!("\nPick your point: MASK is ~free, TRUMP is the middle ground,");
     println!("SWIFT-R buys near-total recovery for ~2x runtime (paper §9).");
-}
-
-fn measure_perf_cycles(
-    w: &dyn Workload,
-    t: software_only_recovery::recovery::Technique,
-    cfg: &PerfConfig,
-) -> u64 {
-    software_only_recovery::harness::measure_perf(w, t, cfg).cycles
 }

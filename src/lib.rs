@@ -52,7 +52,8 @@ pub use sor_workloads as workloads;
 pub mod prelude {
     pub use sor_core::{Technique, TransformConfig};
     pub use sor_harness::{
-        run_campaign, CampaignConfig, CampaignResult, FigureEight, FigureNine, PerfConfig,
+        run_campaign_in, ArtifactStore, CampaignConfig, CampaignResult, FigureEight, FigureNine,
+        PerfConfig,
     };
     pub use sor_ir::{layout, MemWidth, Module, ModuleBuilder, Operand, RegClass, Width};
     pub use sor_regalloc::{lower, LowerConfig};

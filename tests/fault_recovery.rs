@@ -140,7 +140,7 @@ fn campaigns_are_reproducible() {
         ..cfg.clone()
     };
     for (config, expected) in [(&cfg, seu), (&cfg, seu), (&transient, alu)] {
-        let r = run_campaign(&w, T::TrumpMask, config);
+        let r = run_campaign_in(&ArtifactStore::new(), &w, T::TrumpMask, config);
         assert_eq!(r.counts, expected, "{}", config.fault_model);
     }
 }
@@ -154,9 +154,9 @@ fn reliability_ordering_noft_trump_swiftr() {
         runs: if cfg!(debug_assertions) { 120 } else { 300 },
         ..CampaignConfig::default()
     };
-    let noft = run_campaign(&w, T::Noft, &cfg).counts.pct_unace();
-    let trump = run_campaign(&w, T::Trump, &cfg).counts.pct_unace();
-    let swiftr = run_campaign(&w, T::SwiftR, &cfg).counts.pct_unace();
+    let store = ArtifactStore::new();
+    let unace = |t| run_campaign_in(&store, &w, t, &cfg).counts.pct_unace();
+    let (noft, trump, swiftr) = (unace(T::Noft), unace(T::Trump), unace(T::SwiftR));
     assert!(
         noft < trump && trump < swiftr,
         "ordering violated: NOFT {noft:.1} TRUMP {trump:.1} SWIFT-R {swiftr:.1}"
