@@ -150,7 +150,7 @@ fn inject(
     // invariant the campaign tests pin.
     let total: OutcomeCounts = pool::inject_faults(
         &runner,
-        &faults,
+        faults,
         cfg.threads,
         |acc: &mut OutcomeCounts, _, rec, res| {
             acc.record(

@@ -23,7 +23,7 @@ use sor_core::Technique;
 use sor_ir::Program;
 use sor_models::FaultModel;
 use sor_regalloc::LowerConfig;
-use sor_sim::{DecodedProg, ExecEngine, FaultSpec, GenFault, JitProg};
+use sor_sim::{DecodedProg, ExecEngine, FaultSpec, GenFault, GenFaultRecord, JitProg, RunResult};
 use sor_stats::OutcomeCounts;
 use sor_workloads::Workload;
 use std::sync::Arc;
@@ -137,7 +137,7 @@ pub fn certify_program_model(
     }
     let mut class_results: Vec<OutcomeCounts> = pool::inject_faults(
         &runner,
-        &faults,
+        faults,
         cfg.threads,
         |acc: &mut Vec<OutcomeCounts>, i, rec, res| {
             let class = class_of[i];
@@ -325,57 +325,66 @@ pub fn certify_resumable(
     }
     on_progress(&progress);
 
-    // Execute the missing sections one at a time, persisting each as it
-    // completes — the pause grain, and a well-defined point that loses
-    // no work.
-    for (si, slot) in per_section.iter_mut().enumerate() {
-        if slot.is_some() {
-            continue;
+    // Execute the missing sections one at a time on one worker set,
+    // persisting each as it completes — the pause grain, and a
+    // well-defined point that loses no work.
+    let most = per_section
+        .iter()
+        .zip(&sections.sections)
+        .filter(|(slot, _)| slot.is_none())
+        .map(|(_, sec)| sec.classes.len() * 64)
+        .max()
+        .unwrap_or(0);
+    let fold = |acc: &mut Vec<OutcomeCounts>, i: usize, rec: &GenFaultRecord, res: &RunResult| {
+        let class = i / 64;
+        if acc.len() <= class {
+            acc.resize(class + 1, OutcomeCounts::default());
         }
-        if ctrl.is_some_and(|c| c.stop_requested()) {
-            return Status::Paused;
-        }
-        let sec = &sections.sections[si];
-        let faults: Vec<GenFault> = sec
-            .classes
-            .iter()
-            .map(|&idx| plan.classes[idx])
-            .flat_map(|range| {
-                (0..64).map(move |bit| FaultSpec::new(range.hi, range.reg, bit).into())
-            })
-            .collect();
-        progress.fresh_injections += faults.len() as u64;
-        let mut fresh: Vec<OutcomeCounts> = pool::inject_faults(
-            &runner,
-            &faults,
-            cfg.threads,
-            |acc: &mut Vec<OutcomeCounts>, i, rec, res| {
-                let class = i / 64;
-                if acc.len() <= class {
-                    acc.resize(class + 1, OutcomeCounts::default());
-                }
-                acc[class].record(
-                    rec.outcome,
-                    res.probes.vote_repairs + res.probes.trump_recovers,
-                );
-            },
+        acc[class].record(
+            rec.outcome,
+            res.probes.vote_repairs + res.probes.trump_recovers,
         );
-        fresh.resize(sec.classes.len(), OutcomeCounts::default());
-        let classes: Vec<ClassOutcome> = sec
-            .classes
-            .iter()
-            .zip(fresh)
-            .map(|(&idx, counts)| ClassOutcome {
-                reg: plan.classes[idx].reg,
-                rep: plan.classes[idx].hi,
-                counts,
-            })
-            .collect();
-        let stored = results.put_cert(sec.key, SectionOutcomes { classes });
-        progress.done += 1;
-        absorb_section(&mut progress, &stored);
-        *slot = Some(stored);
-        on_progress(&progress);
+    };
+    let finished = pool::with_workers(&runner, cfg.threads, most, fold, |workers| {
+        for (si, slot) in per_section.iter_mut().enumerate() {
+            if slot.is_some() {
+                continue;
+            }
+            if ctrl.is_some_and(|c| c.stop_requested()) {
+                return false;
+            }
+            let sec = &sections.sections[si];
+            let faults: Vec<GenFault> = sec
+                .classes
+                .iter()
+                .map(|&idx| plan.classes[idx])
+                .flat_map(|range| {
+                    (0..64).map(move |bit| FaultSpec::new(range.hi, range.reg, bit).into())
+                })
+                .collect();
+            progress.fresh_injections += faults.len() as u64;
+            let mut fresh = workers.inject(faults);
+            fresh.resize(sec.classes.len(), OutcomeCounts::default());
+            let classes: Vec<ClassOutcome> = sec
+                .classes
+                .iter()
+                .zip(fresh)
+                .map(|(&idx, counts)| ClassOutcome {
+                    reg: plan.classes[idx].reg,
+                    rep: plan.classes[idx].hi,
+                    counts,
+                })
+                .collect();
+            let stored = results.put_cert(sec.key, SectionOutcomes { classes });
+            progress.done += 1;
+            absorb_section(&mut progress, &stored);
+            *slot = Some(stored);
+            on_progress(&progress);
+        }
+        true
+    });
+    if !finished {
+        return Status::Paused;
     }
 
     let resolved: Vec<SectionOutcomes> = per_section

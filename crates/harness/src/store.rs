@@ -288,7 +288,7 @@ impl ResultStore {
             .insert(key, Arc::clone(&value))
             .is_none();
         if fresh {
-            self.append(encode_cert(&key, &value));
+            self.append(|| encode_cert(&key, &value));
         }
         value
     }
@@ -308,7 +308,7 @@ impl ResultStore {
             .insert(key, Arc::clone(&value))
             .is_none();
         if fresh {
-            self.append(encode_triage(&key, &value));
+            self.append(|| encode_triage(&key, &value));
         }
         value
     }
@@ -317,9 +317,11 @@ impl ResultStore {
     /// is held for the whole write, so concurrent in-process `put`s
     /// serialize and the file only ever contains whole frames (short of
     /// an external crash mid-write, which `load` heals).
-    fn append(&self, payload: Vec<u8>) {
+    /// A memory-only store never encodes the record.
+    fn append(&self, payload: impl FnOnce() -> Vec<u8>) {
         let mut guard = self.file.lock().unwrap();
         let Some(tier) = guard.as_mut() else { return };
+        let payload = payload();
         let mut frame = Vec::with_capacity(payload.len() + 12);
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&checksum(&payload).to_le_bytes());

@@ -16,7 +16,7 @@ use crate::store::{triage_section_key, ResultStore};
 use sor_core::Technique;
 use sor_ir::{Digest, Program, ProtectionRole};
 use sor_regalloc::LowerConfig;
-use sor_sim::{DecodedProg, FaultSpec, GenFault};
+use sor_sim::{DecodedProg, FaultSpec, GenFault, GenFaultRecord, RunResult};
 use sor_triage::{SectionalTriage, VulnerabilityProfile};
 use sor_workloads::Workload;
 use std::sync::Arc;
@@ -145,35 +145,53 @@ pub fn run_triaged_campaign_resumable(
         total: triage.sections.len() as u64,
         ..Progress::default()
     };
+    let keys: Vec<_> = triage
+        .sections
+        .iter()
+        .map(|sec| triage_section_key(program_digest, sec.start, sec.end, &sec.faults))
+        .collect();
+    let cached: Vec<Option<_>> = triage
+        .sections
+        .iter()
+        .zip(&keys)
+        .map(|(sec, key)| results.get_triage(key, |p| p.injections() == sec.faults.len() as u64))
+        .collect();
+    // The missing sections run one at a time on one worker set.
+    let most = cached
+        .iter()
+        .zip(&triage.sections)
+        .filter(|(hit, _)| hit.is_none())
+        .map(|(_, sec)| sec.faults.len())
+        .max()
+        .unwrap_or(0);
+    let fold = |acc: &mut VulnerabilityProfile, _, rec: &GenFaultRecord, res: &RunResult| {
+        acc.record(rec, res.probes.vote_repairs + res.probes.trump_recovers);
+    };
     let mut profile = VulnerabilityProfile::new();
-    for section in &triage.sections {
-        let key = triage_section_key(program_digest, section.start, section.end, &section.faults);
-        let cached = results.get_triage(&key, |p| p.injections() == section.faults.len() as u64);
-        let hit = cached.is_some();
-        if !hit && ctrl.is_some_and(|c| c.stop_requested()) {
-            return Status::Paused;
+    let finished = pool::with_workers(&runner, cfg.threads, most, fold, |workers| {
+        for ((section, key), hit) in triage.sections.iter().zip(keys).zip(cached) {
+            let fresh = hit.is_none();
+            if fresh && ctrl.is_some_and(|c| c.stop_requested()) {
+                return false;
+            }
+            let section_profile = hit.unwrap_or_else(|| {
+                let faults: Vec<GenFault> = section.faults.iter().map(|&f| f.into()).collect();
+                results.put_triage(key, workers.inject(faults))
+            });
+            profile.merge(&section_profile);
+            progress.done += 1;
+            if fresh {
+                progress.fresh_injections += section.faults.len() as u64;
+            } else {
+                progress.hits += 1;
+            }
+            progress.counts = profile.totals();
+            on_progress(&progress);
         }
-        let section_profile = cached.unwrap_or_else(|| {
-            let faults: Vec<GenFault> = section.faults.iter().map(|&f| f.into()).collect();
-            let fresh: VulnerabilityProfile = pool::inject_faults(
-                &runner,
-                &faults,
-                cfg.threads,
-                |acc: &mut VulnerabilityProfile, _, rec, res| {
-                    acc.record(rec, res.probes.vote_repairs + res.probes.trump_recovers);
-                },
-            );
-            results.put_triage(key, fresh)
-        });
-        profile.merge(&section_profile);
-        progress.done += 1;
-        if hit {
-            progress.hits += 1;
-        } else {
-            progress.fresh_injections += section.faults.len() as u64;
-        }
-        progress.counts = profile.totals();
-        on_progress(&progress);
+        true
+    });
+    if !finished {
+        return Status::Paused;
     }
 
     let result = CampaignResult {
@@ -203,7 +221,7 @@ fn inject_profiled(
     // thread count and interleaving.
     let whole: VulnerabilityProfile = pool::inject_faults(
         &runner,
-        &faults,
+        faults,
         cfg.threads,
         |acc: &mut VulnerabilityProfile, _, rec, res| {
             acc.record(rec, res.probes.vote_repairs + res.probes.trump_recovers);

@@ -32,6 +32,12 @@ pub struct Checkpoint {
     pub(crate) out_len: usize,
     pub(crate) probes: ProbeCounts,
     pub(crate) pages: PageSnapshot,
+    /// Integer registers statically live at this boundary under this
+    /// call stack (all of them when the run had no predecoded image). A
+    /// fault run may differ from this checkpoint in the others and still
+    /// rejoin the golden run here (DESIGN.md §11). Derived from `pc` and
+    /// `frames`, so it stays out of the fingerprint.
+    pub(crate) live: u32,
 }
 
 impl Checkpoint {

@@ -26,11 +26,13 @@
 //! loop without re-entering the dispatch/observation machinery between
 //! instructions.
 
+use crate::liveness::StaticLiveness;
 use crate::machine::RetDsts;
 use sor_ir::{
     AluOp, CmpOp, ExtFunc, FpOp, MemWidth, PArg, PInst, PLoc, POperand, Preg, ProbeEvent, Program,
     RegClass, Width,
 };
+use std::sync::OnceLock;
 
 /// A fully-resolved integer operand: register-file index or immediate,
 /// already converted to the machine's `u64` register representation.
@@ -224,55 +226,6 @@ impl UOp {
                 | UOp::Probe(_)
         )
     }
-
-    /// Bitmask of the integer registers this micro-op names, as a source,
-    /// a destination or an address base. Conservative where the class is
-    /// only known at runtime: a [`DLoc::Reg`] destination counts even
-    /// though a float value would land in the float bank.
-    fn named_iregs(&self) -> u32 {
-        let src = |s: &Src| match s {
-            Src::Reg(r) => 1 << r,
-            Src::Imm(_) => 0,
-        };
-        let arg = |a: &DArg| match a {
-            DArg::RegI(r) => 1 << r,
-            DArg::Imm(_) | DArg::RegF(_) | DArg::SlotI(_) | DArg::SlotF(_) => 0,
-        };
-        let loc = |l: &DLoc| match l {
-            DLoc::Reg(r) => 1 << r,
-            DLoc::Slot(_) => 0,
-        };
-        match self {
-            UOp::Alu64 { dst, a, b, .. }
-            | UOp::Alu32 { dst, a, b, .. }
-            | UOp::Cmp64 { dst, a, b, .. }
-            | UOp::Cmp32 { dst, a, b, .. } => 1 << dst | src(a) | src(b),
-            UOp::Mov { dst, src: s } => 1 << dst | src(s),
-            UOp::Select { dst, cond, t, f } => 1 << dst | 1 << cond | src(t) | src(f),
-            UOp::Load { dst, base, .. } => 1 << dst | 1 << base,
-            UOp::Store { base, src: s, .. } => 1 << base | src(s),
-            UOp::FCmp { dst, .. } | UOp::CvtFI { dst, .. } => 1 << dst,
-            UOp::CvtIF { src, .. } => 1 << src,
-            UOp::FLoad { base, .. } | UOp::FStore { base, .. } => 1 << base,
-            UOp::CallExt { arg: a, .. } => arg(a),
-            UOp::Enter { params, .. } => params.iter().fold(0, |m, l| m | loc(l)),
-            UOp::Branch { cond, .. } => 1 << cond,
-            UOp::CallInt { args, ret_dsts, .. } => {
-                let rets = ret_dsts.as_slice().iter().fold(0, |m, l| match l {
-                    PLoc::Reg(p) => m | 1 << p.index(),
-                    PLoc::Slot(..) => m,
-                });
-                args.iter().fold(rets, |m, a| m | arg(a))
-            }
-            UOp::Ret { vals, .. } => vals.iter().fold(0, |m, a| m | arg(a)),
-            UOp::Fpu { .. }
-            | UOp::FMovImm { .. }
-            | UOp::FMov { .. }
-            | UOp::Jump(_)
-            | UOp::Trap(_)
-            | UOp::Probe(_) => 0,
-        }
-    }
 }
 
 fn src_of(o: POperand) -> Src {
@@ -311,7 +264,8 @@ fn idx(p: Preg) -> u8 {
 }
 
 /// A program translated to the flat micro-op image the decoded engine
-/// executes, plus the superblock run-length table. Immutable once built;
+/// executes, plus the superblock run-length table and the static
+/// register liveness. Immutable once built (the liveness is a memo);
 /// share it across machines with `Arc` (campaign workers, the harness
 /// artifact store).
 #[derive(Debug)]
@@ -320,12 +274,16 @@ pub struct DecodedProg {
     /// `run_len[pc]`: length of the straight-line run starting at `pc`
     /// (`0` when `uops[pc]` itself is control flow or a probe).
     pub(crate) run_len: Vec<u32>,
-    /// Bit `r` is set iff some micro-op names integer register `r` (see
-    /// `UOp::named_iregs`), plus the stack pointer, which every frame
-    /// operation and spill-slot access uses implicitly. A flip in any
-    /// other register can never be read, so its fault run is the golden
-    /// run (DESIGN §11, "Dead-flip early exit in fault runs").
-    pub(crate) named_iregs: u32,
+    /// Static integer-register liveness per pc, which the fault runs'
+    /// early exits test flipped and differing registers against (DESIGN
+    /// §11, "Early exit and rejoin"). Solved on first use, so images that
+    /// never serve a fault run (timing, golden-only) skip it.
+    live: OnceLock<StaticLiveness>,
+    /// Dynamic length of the program's golden run, once a
+    /// [`crate::Runner`] has measured it: later runners over this image
+    /// size auto checkpoints before running, so their recording run is
+    /// their golden run.
+    pub(crate) golden_len: OnceLock<u64>,
 }
 
 impl DecodedProg {
@@ -348,14 +306,18 @@ impl DecodedProg {
                 run_len[pc] = next + 1;
             }
         }
-        let named_iregs = uops
-            .iter()
-            .fold(1 << crate::machine::SP_IDX, |m, u| m | u.named_iregs());
         DecodedProg {
             uops,
             run_len,
-            named_iregs,
+            live: OnceLock::new(),
+            golden_len: OnceLock::new(),
         }
+    }
+
+    /// The static liveness of `prog`, the program this image was decoded
+    /// from, solved on the first call.
+    pub(crate) fn live(&self, prog: &Program) -> &StaticLiveness {
+        self.live.get_or_init(|| StaticLiveness::new(&prog.insts))
     }
 
     /// Number of micro-ops (equals the program's instruction count).

@@ -27,12 +27,14 @@
 //! span are executed for free, exactly like the legacy path; a superblock
 //! effectively splits at any slot an observer is due.
 //!
-//! # Dead-flip early exit
+//! # Early exit and rejoin
 //!
-//! Fault runs from a `Replayer` may stop right after a register flip
-//! that provably cannot be read: a register the program never names, or
-//! one the bounded clobber watch sees overwritten first. The replayer
-//! then reports the golden run's result (DESIGN.md §11).
+//! A fault run from a `Replayer` may stop before the program ends, once
+//! what is left of it is provably the golden run: right after a register
+//! flip into a register statically dead at the injection slot, or at one
+//! of the first two golden checkpoint boundaries after injection if the
+//! faulty state equals the golden one there apart from dead registers.
+//! The replayer then reports what the full run would have (DESIGN.md §11).
 
 use crate::decode::{DArg, DLoc, DecodedProg, Ext, Src, UOp};
 use crate::fault::{FaultEffect, GenFault};
@@ -50,49 +52,59 @@ enum SpanExit {
     Done(RunStatus),
 }
 
-/// Why a fault run stopped before the program ended: the injected flip
-/// is provably dead, so the rest of the run is the golden run.
+/// Why a fault run stopped before the program ended: the rest of the run
+/// is provably the golden run's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum DeadFlip {
-    /// A `RegXor` hit a register no instruction names.
-    UnnamedReg,
-    /// The flipped register was overwritten before anything read it.
-    Clobbered,
+pub(crate) enum EarlyExit {
+    /// A flip landed in a register statically dead at the injection slot:
+    /// a `RegXor`, or an `AluXor` latched into its destination.
+    DeadReg,
     /// An `AluXor` latched nothing: the slot's instruction was not an ALU
     /// op, or the mask truncated to zero at its width.
     Unlatched,
+    /// The state matched golden checkpoint `cps[b]` apart from integer
+    /// registers dead there.
+    Rejoined(usize),
 }
 
-/// Counted instructions the clobber watch single-steps after a register
-/// flip before handing the run back to the span loop. Chosen by
-/// measurement (EXPERIMENTS.md E16); deliberately not configurable.
-const WATCH_BUDGET: u32 = 256;
-
-/// How [`Machine::watch_flip`] ended.
-enum Watch {
-    /// The flipped register was written before being read.
-    Clobbered,
-    /// The flipped register is read next, or the budget ran out.
-    Live,
-    /// The program terminated inside the window.
-    Done(RunStatus),
+/// The golden run a fault run may stop early against: its result, its
+/// checkpoints and the one the machine was restored from.
+pub(crate) struct Golden<'g> {
+    pub(crate) run: &'g RunResult,
+    pub(crate) cps: &'g [Checkpoint],
+    pub(crate) restored: usize,
 }
+
+/// Golden checkpoint boundaries after injection at which a fault run
+/// tests for a rejoin. Most runs that rejoin do so at the first boundary;
+/// a test past the second saves less than it costs, since each stops
+/// native code mid-run (measured, EXPERIMENTS.md E20). Deliberately not
+/// configurable.
+const REJOIN_TESTS: usize = 2;
+
+/// Golden instructions that must remain after a boundary for a rejoin
+/// test there to pay: on short runs the test costs more than the rest of
+/// the run (measured, EXPERIMENTS.md E20). Deliberately not configurable.
+const REJOIN_MIN_LEFT: u64 = 4096;
 
 impl Machine<'_> {
     /// Decoded-engine counterpart of the [`Machine::run_mut`] loop,
     /// pinned bit-identical to it for every [`FaultEffect`].
     ///
-    /// With `stop_dead`, a register fault run stops with the [`DeadFlip`]
-    /// reason as soon as the flip is provably dead; the caller then owes
-    /// the golden run's result (see `Replayer::run_fault`). Without it,
-    /// every run goes to completion.
+    /// Given the `golden` run, a fault run stops with an [`EarlyExit`] as
+    /// soon as the rest of it is provably the golden run's; the caller
+    /// then owes the golden run's result (see `Replayer::run_fault`).
+    /// Without it, every run goes to completion.
     pub(crate) fn run_decoded(
         &mut self,
         d: &DecodedProg,
         fault: Option<GenFault>,
-        stop_dead: bool,
-    ) -> Result<RunResult, DeadFlip> {
+        golden: Option<&Golden>,
+    ) -> Result<RunResult, EarlyExit> {
         let jit = self.jit.clone();
+        // The golden checkpoints still to test for a rejoin, once the
+        // fault has fired.
+        let mut tests = 0..0;
         let status = loop {
             if self.dyn_count >= self.fuel {
                 break RunStatus::OutOfFuel;
@@ -106,9 +118,6 @@ impl Machine<'_> {
                         let flipped = match f.effect {
                             FaultEffect::RegXor { reg, mask } => {
                                 self.iregs[reg as usize] ^= mask;
-                                if stop_dead && d.named_iregs & (1 << reg) == 0 {
-                                    return Err(DeadFlip::UnnamedReg);
-                                }
                                 Some(reg)
                             }
                             FaultEffect::PcXor { mask } => {
@@ -131,22 +140,42 @@ impl Machine<'_> {
                                 // corrupted result.
                                 match self.exec_alu_slot(d, mask) {
                                     Err(s) => break s,
-                                    Ok(None) if stop_dead => return Err(DeadFlip::Unlatched),
+                                    Ok(None) if golden.is_some() => {
+                                        return Err(EarlyExit::Unlatched)
+                                    }
                                     Ok(dst) => dst,
                                 }
                             }
                         };
-                        if let (true, Some(reg)) = (stop_dead, flipped) {
-                            match self.watch_flip(d, reg) {
-                                Watch::Clobbered => return Err(DeadFlip::Clobbered),
-                                Watch::Live => {}
-                                Watch::Done(s) => break s,
+                        if let Some(g) = golden {
+                            // A flipped register is the only difference
+                            // from the golden state here.
+                            if let Some(reg) = flipped {
+                                let live = d.live(self.prog).live_at(self.pc, &self.frames);
+                                if live & 1 << reg == 0 {
+                                    return Err(EarlyExit::DeadReg);
+                                }
                             }
+                            let b = g.cps.partition_point(|c| c.at < self.dyn_count);
+                            let worth = g
+                                .cps
+                                .partition_point(|c| c.at + REJOIN_MIN_LEFT <= g.run.dyn_instrs);
+                            tests = b..(b + REJOIN_TESTS).min(worth.max(b));
                         }
                         continue;
                     } else if f.at_instr > self.dyn_count {
                         budget = budget.min(f.at_instr - self.dyn_count);
                     }
+                } else if let (Some(g), false) = (golden, tests.is_empty()) {
+                    let b = tests.start;
+                    if g.cps[b].at == self.dyn_count {
+                        if self.rejoins(g, b) {
+                            return Err(EarlyExit::Rejoined(b));
+                        }
+                        tests.start += 1;
+                        continue;
+                    }
+                    budget = budget.min(g.cps[b].at - self.dyn_count);
                 }
             }
             match self.exec_span(d, jit.as_deref(), budget) {
@@ -155,6 +184,47 @@ impl Machine<'_> {
             }
         };
         Ok(self.take_result(status))
+    }
+
+    /// Whether the fault run, standing at the boundary of golden
+    /// checkpoint `g.cps[b]`, is in the golden state there apart from
+    /// integer registers dead at that boundary. Then the rest of the run
+    /// is the golden run's, by induction over its instructions: each one
+    /// reads only locations equal in both runs (DESIGN.md §11).
+    ///
+    /// Frames compare by return pc alone: a frame's return destinations
+    /// are those of the call just before it.
+    fn rejoins(&mut self, g: &Golden, b: usize) -> bool {
+        let ck = &g.cps[b];
+        if self.pc != ck.pc {
+            return false;
+        }
+        let differ = (0..sor_ir::NUM_IREGS).fold(0u32, |m, r| {
+            m | ((self.iregs[r] != ck.iregs[r]) as u32) << r
+        });
+        // Output before the restored checkpoint came from the golden run.
+        let from = g.cps[g.restored].out_len;
+        differ & ck.live == 0
+            && self.frames.len() == ck.frames.len()
+            && self
+                .frames
+                .iter()
+                .zip(&ck.frames)
+                .all(|(a, c)| a.ret_pc == c.ret_pc)
+            && self
+                .fregs
+                .iter()
+                .zip(&ck.fregs)
+                .all(|(a, c)| a.to_bits() == c.to_bits())
+            && self.pending_args.len() == ck.pending_args.len()
+            && self
+                .pending_args
+                .iter()
+                .zip(&ck.pending_args)
+                .all(|(&a, &c)| a.bits() == c.bits())
+            && self.out.len() == ck.out_len
+            && self.out[from..] == g.run.output[from..ck.out_len]
+            && self.mem.matches_golden(&g.cps[..=b], g.restored)
     }
 
     /// Executes exactly the current slot's counted instruction (burning
@@ -188,37 +258,19 @@ impl Machine<'_> {
         }
     }
 
-    /// The clobber watch: single-steps up to [`WATCH_BUDGET`] counted
-    /// instructions after `reg` was flipped, asking
-    /// [`Machine::dyn_int_accesses`] about each one before it executes.
-    ///
-    /// Until the flipped register is read, execution is the golden run's
-    /// (same control flow, memory and output). An instruction that reads
-    /// it — read-modify-write included — hands the run back unchanged. One
-    /// that only writes it replaces all 64 bits from golden inputs, so the
-    /// whole state is golden again: [`Watch::Clobbered`].
-    fn watch_flip(&mut self, d: &DecodedProg, reg: u8) -> Watch {
-        let bit = 1u32 << reg;
-        for _ in 0..WATCH_BUDGET {
-            if self.dyn_count >= self.fuel {
+    /// Replays the golden run one counted slot at a time and returns the
+    /// static live mask at each slot's observation point, the pc and
+    /// frames a fault armed for that slot sees (see
+    /// `Runner::static_live_masks`).
+    pub(crate) fn static_live_trace(&mut self, d: &DecodedProg) -> Vec<u32> {
+        let mut masks = Vec::new();
+        while self.dyn_count < self.fuel {
+            masks.push(d.live(self.prog).live_at(self.pc, &self.frames));
+            if let SpanExit::Done(_) = self.exec_span(d, None, 1) {
                 break;
-            }
-            while let UOp::Probe(e) = &d.uops[self.pc] {
-                bump_probe(&mut self.probes, *e);
-                self.pc += 1;
-            }
-            let (reads, writes) = self.dyn_int_accesses();
-            if reads & bit != 0 {
-                break;
-            }
-            if writes & bit != 0 {
-                return Watch::Clobbered;
-            }
-            if let SpanExit::Done(s) = self.exec_span(d, None, 1) {
-                return Watch::Done(s);
             }
         }
-        Watch::Live
+        masks
     }
 
     /// Decoded-engine counterpart of

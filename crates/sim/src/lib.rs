@@ -59,6 +59,7 @@ mod decode;
 mod exec;
 mod fault;
 mod jit;
+mod liveness;
 mod machine;
 mod mem;
 mod outcome;

@@ -162,6 +162,17 @@ pub(crate) enum Val {
     F(f64),
 }
 
+impl Val {
+    /// The value's class and bit pattern: equal exactly when two values
+    /// are indistinguishable to the program.
+    pub(crate) fn bits(self) -> (bool, u64) {
+        match self {
+            Val::I(x) => (false, x),
+            Val::F(x) => (true, x.to_bits()),
+        }
+    }
+}
+
 /// Call-return destinations. Almost every call returns zero or one value,
 /// so the common case is stored inline instead of heap-allocating a `Vec`
 /// per dynamic call instruction.
@@ -361,7 +372,7 @@ impl<'p> Machine<'p> {
         if let Some(d) = &self.decoded {
             let d = Arc::clone(d);
             return self
-                .run_decoded(&d, fault, false)
+                .run_decoded(&d, fault, None)
                 .expect("a full run never stops early");
         }
         // An armed AluXor mask waiting for the slot's counted instruction.
@@ -474,6 +485,9 @@ impl<'p> Machine<'p> {
             out_len: self.out.len(),
             probes: self.probes,
             pages: self.mem.take_dirty_pages(),
+            live: self.decoded.as_ref().map_or(u32::MAX, |d| {
+                d.live(self.prog).live_at(self.pc, &self.frames)
+            }),
         }
     }
 

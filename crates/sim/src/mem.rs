@@ -10,6 +10,7 @@
 //! (see [`crate::FaultEffect::MemXor`]). Memory itself simply stores
 //! bytes.
 
+use crate::checkpoint::Checkpoint;
 use sor_ir::layout;
 use std::fmt;
 
@@ -56,26 +57,43 @@ impl PageSnapshot {
     pub(crate) fn entries(&self) -> &[(u32, Box<[u8]>)] {
         &self.pages
     }
+
+    /// The captured image of page `p`, if this delta holds one. Pages are
+    /// stored by ascending index (`Memory::drain_dirty` order).
+    fn image(&self, p: u32) -> Option<&[u8]> {
+        let i = self.pages.binary_search_by_key(&p, |(q, _)| *q).ok()?;
+        Some(&self.pages[i].1)
+    }
 }
 
 /// Byte-addressable data memory backing the global and stack segments.
 ///
 /// With page tracking enabled (see [`Memory::enable_page_tracking`]) every
-/// write marks its 4 KiB page dirty, which supports two operations needed
+/// write marks its 4 KiB page dirty, which supports the operations needed
 /// by checkpoint-and-replay fault injection: capturing the pages dirtied
-/// since the last capture ([`Memory::take_dirty_pages`]) and rolling the
-/// memory back to its pristine post-init state by undoing only the dirtied
-/// pages ([`Memory::reset_tracked`]).
+/// since the last capture ([`Memory::take_dirty_pages`]), rolling the
+/// memory back to its pristine post-init state by undoing only the touched
+/// pages ([`Memory::reset_tracked`]), restoring a checkpoint
+/// ([`Memory::restore_snapshots`]) and, after a restore, comparing only
+/// the pages written since against the golden run.
 #[derive(Debug, Clone)]
 pub struct Memory {
     global: Vec<u8>,
     stack: Vec<u8>,
     /// Pristine copy of the initialized global segment (tracking only).
     pristine_global: Option<Box<[u8]>>,
-    /// Dirty-page bitmap over global pages then stack pages (tracking only).
+    /// Dirty-page bitmap over global pages then stack pages (tracking
+    /// only): pages written since tracking started, or since the last
+    /// capture, reset or restore.
     dirty: Vec<u64>,
+    /// Pages the last [`Memory::restore_snapshots`] wrote, which the next
+    /// reset or restore must undo too (same layout as `dirty`).
+    restored: Vec<u64>,
     tracking: bool,
 }
+
+/// Contents of a stack page nothing has written: its pristine image.
+static ZERO_PAGE: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
 
 impl Memory {
     /// Creates memory with a global segment of `global_size` bytes
@@ -96,6 +114,7 @@ impl Memory {
             stack: vec![0u8; (layout::STACK_TOP - layout::STACK_BASE) as usize],
             pristine_global: None,
             dirty: Vec::new(),
+            restored: Vec::new(),
             tracking: false,
         }
     }
@@ -131,6 +150,7 @@ impl Memory {
         }
         self.pristine_global = Some(self.global.clone().into_boxed_slice());
         self.dirty = vec![0u64; self.num_pages().div_ceil(64)];
+        self.restored = self.dirty.clone();
         self.tracking = true;
     }
 
@@ -152,14 +172,37 @@ impl Memory {
         }
     }
 
-    fn page_slice_mut(&mut self, page: u32) -> &mut [u8] {
+    /// Page `p`'s byte range in its segment, and whether that is the
+    /// stack (pages count global pages first).
+    fn page_range(&self, p: u32) -> (bool, std::ops::Range<usize>) {
         let global_pages = self.global.len() / PAGE_SIZE as usize;
-        let p = page as usize;
-        if p < global_pages {
-            &mut self.global[p * PAGE_SIZE as usize..(p + 1) * PAGE_SIZE as usize]
-        } else {
-            let off = (p - global_pages) * PAGE_SIZE as usize;
-            &mut self.stack[off..off + PAGE_SIZE as usize]
+        let p = p as usize;
+        let (stack, i) = match p.checked_sub(global_pages) {
+            Some(i) => (true, i),
+            None => (false, p),
+        };
+        (stack, i * PAGE_SIZE as usize..(i + 1) * PAGE_SIZE as usize)
+    }
+
+    fn page_slice(&self, p: u32) -> &[u8] {
+        match self.page_range(p) {
+            (true, r) => &self.stack[r],
+            (false, r) => &self.global[r],
+        }
+    }
+
+    fn page_slice_mut(&mut self, p: u32) -> &mut [u8] {
+        match self.page_range(p) {
+            (true, r) => &mut self.stack[r],
+            (false, r) => &mut self.global[r],
+        }
+    }
+
+    /// Page `p` as it was before the program ran.
+    fn pristine_page(&self, p: u32) -> &[u8] {
+        match self.page_range(p) {
+            (true, _) => &ZERO_PAGE,
+            (false, r) => &self.pristine_global.as_ref().expect("tracking")[r],
         }
     }
 
@@ -195,15 +238,18 @@ impl Memory {
         PageSnapshot { pages }
     }
 
-    /// Rolls every dirty page back to its pristine post-init contents
-    /// (global pages from the saved image, stack pages to zero) and clears
-    /// the dirty set — an O(touched pages) full-memory reset.
+    /// Rolls every dirty or restored page back to its pristine post-init
+    /// contents (global pages from the saved image, stack pages to zero)
+    /// and clears both sets — an O(touched pages) full-memory reset.
     ///
     /// # Panics
     ///
     /// Panics unless [`Memory::enable_page_tracking`] was called.
     pub fn reset_tracked(&mut self) {
         assert!(self.tracking, "page tracking not enabled");
+        for (d, r) in self.dirty.iter_mut().zip(&mut self.restored) {
+            *d |= std::mem::take(r);
+        }
         for p in self.drain_dirty() {
             self.reset_page(p);
         }
@@ -211,22 +257,23 @@ impl Memory {
 
     /// Rolls page `p` back to its pristine post-init contents.
     fn reset_page(&mut self, p: u32) {
-        let pu = p as usize;
-        if pu < self.global.len() / PAGE_SIZE as usize {
-            let range = pu * PAGE_SIZE as usize..(pu + 1) * PAGE_SIZE as usize;
-            let pristine = self.pristine_global.as_ref().expect("tracking");
-            self.global[range.clone()].copy_from_slice(&pristine[range]);
-        } else {
-            self.page_slice_mut(p).fill(0);
+        match self.page_range(p) {
+            (true, r) => self.stack[r].fill(0),
+            (false, r) => {
+                let pristine = self.pristine_global.as_ref().expect("tracking");
+                self.global[r.clone()].copy_from_slice(&pristine[r]);
+            }
         }
     }
 
     /// [`Memory::reset_tracked`] followed by [`Memory::apply_pages`] of a
     /// snapshot sequence, given **newest first**, with each page written
-    /// once: a page takes its newest snapshot image, a dirty page no
-    /// snapshot holds goes back to pristine, and the dirty set ends as the
-    /// union of the snapshots' pages. Memory and dirty set come out
-    /// bit-identical to the reset-then-replay sequence.
+    /// once: a page takes its newest snapshot image, and a touched page no
+    /// snapshot holds goes back to pristine. Memory comes out bit-identical
+    /// to the reset-then-replay sequence. The dirty set ends empty, so it
+    /// then holds exactly the pages written since the restore; the
+    /// snapshots' pages are remembered apart, for the next reset or
+    /// restore to undo.
     ///
     /// # Panics
     ///
@@ -236,26 +283,70 @@ impl Memory {
         newest_first: impl IntoIterator<Item = &'s PageSnapshot>,
     ) {
         assert!(self.tracking, "page tracking not enabled");
-        // `dirty` restarts empty and doubles as the seen set, so older
-        // images of a page are skipped.
-        let fresh = vec![0; self.dirty.len()];
-        let stale = std::mem::replace(&mut self.dirty, fresh);
+        // `dirty` collects every touched page for the undo pass below, and
+        // `restored` restarts empty as the seen set, so older images of a
+        // page are skipped.
+        for (d, r) in self.dirty.iter_mut().zip(&mut self.restored) {
+            *d |= std::mem::take(r);
+        }
         for snap in newest_first {
             for (p, bytes) in &snap.pages {
                 let (w, bit) = (*p as usize / 64, 1u64 << (p % 64));
-                if self.dirty[w] & bit == 0 {
-                    self.dirty[w] |= bit;
+                if self.restored[w] & bit == 0 {
+                    self.restored[w] |= bit;
                     self.page_slice_mut(*p).copy_from_slice(bytes);
                 }
             }
         }
-        for (w, old) in stale.into_iter().enumerate() {
-            let mut bits = old & !self.dirty[w];
+        for w in 0..self.dirty.len() {
+            let mut bits = std::mem::take(&mut self.dirty[w]) & !self.restored[w];
             while bits != 0 {
                 self.reset_page((w * 64) as u32 + bits.trailing_zeros());
                 bits &= bits - 1;
             }
         }
+    }
+
+    /// Whether memory equals the golden run's memory at the last of the
+    /// checkpoints `cps`, given that it equalled the golden memory at
+    /// `cps[restored]` when [`Memory::restore_snapshots`] last ran. `cps`
+    /// runs from the golden run's start, in capture order, and their page
+    /// deltas are the golden images. Only two kinds of page can differ:
+    /// pages written since the restore (the dirty set) and pages the
+    /// golden run wrote in between (the deltas after `restored`). Each is
+    /// compared with its newest golden image, or with its pristine
+    /// contents if no delta holds it.
+    pub(crate) fn matches_golden(&self, cps: &[Checkpoint], restored: usize) -> bool {
+        // Pages this run wrote first: a corruption sits among them.
+        for (w, &dirty) in self.dirty.iter().enumerate() {
+            let mut bits = dirty;
+            while bits != 0 {
+                let p = (w * 64) as u32 + bits.trailing_zeros();
+                bits &= bits - 1;
+                let golden = cps
+                    .iter()
+                    .rev()
+                    .find_map(|ck| ck.pages.image(p))
+                    .unwrap_or_else(|| self.pristine_page(p));
+                if self.page_slice(p) != golden {
+                    return false;
+                }
+            }
+        }
+        // Then the golden run's pages, newest image first.
+        let mut seen = self.dirty.clone();
+        for ck in cps[restored + 1..].iter().rev() {
+            for (p, bytes) in &ck.pages.pages {
+                let (w, bit) = (*p as usize / 64, 1u64 << (p % 64));
+                if seen[w] & bit == 0 {
+                    seen[w] |= bit;
+                    if self.page_slice(*p) != &bytes[..] {
+                        return false;
+                    }
+                }
+            }
+        }
+        true
     }
 
     /// Writes the snapshot's pages into memory, marking them dirty so a
@@ -461,11 +552,14 @@ mod tests {
                 a.apply_pages(s);
             }
             b.restore_snapshots(snaps[..n].iter().rev());
+            // The restore's pages are remembered apart from the dirty set,
+            // which restarts empty.
             assert_eq!(
                 (&a.global, &a.stack, &a.dirty),
-                (&b.global, &b.stack, &b.dirty),
+                (&b.global, &b.stack, &b.restored),
                 "{n}"
             );
+            assert!(b.dirty.iter().all(|&w| w == 0), "{n}");
         }
     }
 

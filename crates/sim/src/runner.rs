@@ -2,7 +2,7 @@
 
 use crate::checkpoint::CheckpointStore;
 use crate::decode::DecodedProg;
-use crate::exec::DeadFlip;
+use crate::exec::{EarlyExit, Golden};
 use crate::fault::{FaultSpec, GenFault};
 use crate::machine::{Machine, MachineConfig, RunResult};
 use crate::outcome::{classify, Outcome};
@@ -123,15 +123,40 @@ impl<'p> Runner<'p> {
         jit: Option<Arc<crate::JitProg>>,
     ) -> Self {
         let (decoded, jit) = cfg.engine.images(prog, decoded, jit);
-        // The golden pass honours the caller's timing config; the span
-        // engines are functional-only, so timing goldens run legacy.
-        let golden_machine = match &decoded {
+        // Checkpointing is functional-only, and the auto interval needs the
+        // golden run's length, which an earlier runner over the same image
+        // may have measured. When the interval is known up front the
+        // recording run is the golden run; otherwise the golden run (with
+        // the caller's timing config) comes first.
+        let functional = MachineConfig {
+            timing: None,
+            ..cfg.clone()
+        };
+        let machine = |cfg: &MachineConfig| match &decoded {
             Some(d) if cfg.timing.is_none() => {
                 Machine::with_images(prog, cfg, Arc::clone(d), jit.clone())
             }
             _ => Machine::new(prog, cfg),
         };
-        let golden = golden_machine.run(None);
+        let record = |interval: u64| {
+            let mut m = machine(&functional);
+            m.enable_reuse();
+            m.run_golden_with_checkpoints(interval)
+        };
+        let interval = |golden_len: Option<u64>| match cfg.checkpoint_interval {
+            MachineConfig::AUTO_CHECKPOINT => golden_len.map(auto_interval),
+            k => Some(k),
+        };
+        let known_len = decoded.as_ref().and_then(|d| d.golden_len.get().copied());
+        let (golden, cps) = match interval(known_len) {
+            Some(0) => (machine(cfg).run(None), Vec::new()),
+            Some(k) if cfg.timing.is_none() => record(k),
+            _ => {
+                let golden = machine(cfg).run(None);
+                let k = interval(Some(golden.dyn_instrs)).expect("known from the length");
+                (golden, record(k).1)
+            }
+        };
         assert_eq!(
             golden.status,
             crate::machine::RunStatus::Completed,
@@ -139,41 +164,20 @@ impl<'p> Runner<'p> {
             prog.name,
             golden.status
         );
+        if let Some(d) = &decoded {
+            let _ = d.golden_len.set(golden.dyn_instrs);
+        }
         let fault_cfg = MachineConfig {
             fuel: golden.dyn_instrs.saturating_mul(10).saturating_add(100_000),
             timing: None,
             checkpoint_interval: cfg.checkpoint_interval,
             engine: cfg.engine,
         };
-        let interval = match cfg.checkpoint_interval {
-            0 => 0,
-            MachineConfig::AUTO_CHECKPOINT => auto_interval(golden.dyn_instrs),
-            k => k,
-        };
-        // Checkpointing is functional-only; a timing-model golden run
-        // cannot serve as the recording pass, so record on a second,
-        // functional golden run.
-        let ckpts = if interval > 0 {
-            let mut m = match &decoded {
-                Some(d) => Machine::with_images(prog, &fault_cfg, Arc::clone(d), jit.clone()),
-                None => Machine::new(prog, &fault_cfg),
-            };
-            m.enable_reuse();
-            let (recorded, cps) = m.run_golden_with_checkpoints(interval);
-            assert_eq!(
-                (recorded.status, recorded.dyn_instrs, &recorded.output),
-                (golden.status, golden.dyn_instrs, &golden.output),
-                "golden re-execution diverged while recording checkpoints"
-            );
-            CheckpointStore::new(cps)
-        } else {
-            CheckpointStore::disabled()
-        };
         Runner {
             prog,
             cfg: fault_cfg,
             golden,
-            ckpts,
+            ckpts: CheckpointStore::new(cps),
             decoded,
             jit,
         }
@@ -246,6 +250,16 @@ impl<'p> Runner<'p> {
         traced
     }
 
+    /// The integer registers statically live where a fault armed for each
+    /// golden slot fires, one mask per slot in slot order: the masks the
+    /// early exits test flips and differing registers against (DESIGN.md
+    /// §11). `None` under the legacy engine. For soundness tests against
+    /// the dynamic def-use trace ([`Runner::trace_golden`]).
+    pub fn static_live_masks(&self) -> Option<Vec<u32>> {
+        let d = Arc::clone(self.decoded.as_ref()?);
+        Some(self.fault_machine().static_live_trace(&d))
+    }
+
     /// Creates a reusable fault-run executor backed by its own machine.
     ///
     /// Campaign workers should create one replayer each and feed it faults:
@@ -271,24 +285,36 @@ impl<'p> Runner<'p> {
     }
 }
 
-/// Fault runs a [`Replayer`] ended early because the injected flip was
-/// provably dead, by reason. Each such run returned the golden run's
-/// result without executing the rest of the program.
+/// Fault runs a [`Replayer`] ended early, by reason. Each such run
+/// returned what the full run would have, without executing the rest of
+/// the program.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EarlyExits {
-    /// Register flips in a register no instruction of the program names.
-    pub unnamed_reg: u64,
-    /// Register flips overwritten before any read, within the bounded
-    /// watch window after injection.
-    pub clobbered: u64,
+    /// Flips into a register statically dead at the injection slot: a
+    /// register flip, or an ALU transient latched into its destination. A
+    /// register no instruction names is one such case.
+    pub dead_reg: u64,
     /// ALU transients that latched into no register.
     pub unlatched: u64,
+    /// Runs that reached a golden checkpoint boundary in the golden state
+    /// there, apart from integer registers dead at that boundary.
+    pub rejoined: u64,
 }
 
 impl EarlyExits {
     /// All early exits, whatever the reason.
     pub fn total(&self) -> u64 {
-        self.unnamed_reg + self.clobbered + self.unlatched
+        self.dead_reg + self.unlatched + self.rejoined
+    }
+}
+
+impl std::fmt::Display for EarlyExits {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "rejoined={} dead_reg={} unlatched={}",
+            self.rejoined, self.dead_reg, self.unlatched
+        )
     }
 }
 
@@ -309,36 +335,62 @@ impl Replayer<'_, '_> {
     /// suffix; otherwise it resets and executes from instruction 0. Both
     /// paths return results bit-identical to a fresh from-scratch run.
     ///
-    /// On the span engines a register fault run stops as soon as the flip
-    /// is provably dead (see [`EarlyExits`]) and returns what the full run
-    /// would: the golden run's status, output, instruction count and probe
-    /// counts, with this fault's `injected` and `fault_pc`.
+    /// On the span engines a fault run stops as soon as the rest of it is
+    /// provably the golden run's (see [`EarlyExits`]) and returns what the
+    /// full run would: the golden run's status, output and instruction
+    /// count, this fault's `injected` and `fault_pc`, and the golden probe
+    /// counts plus whatever the fault run counted beyond the golden run up
+    /// to the point it stopped.
     pub fn run_fault(&mut self, fault: impl Into<GenFault>) -> (Outcome, RunResult) {
         let fault = fault.into();
         let golden = &self.runner.golden;
-        match self.runner.ckpts.prefix_for(fault.at_instr) {
-            Some(prefix) => self.machine.restore(prefix, &golden.output),
-            None => self.machine.reset(),
-        }
+        let restored = match self.runner.ckpts.prefix_for(fault.at_instr) {
+            Some(prefix) => {
+                self.machine.restore(prefix, &golden.output);
+                prefix.len() - 1
+            }
+            None => {
+                self.machine.reset();
+                0
+            }
+        };
+        let cps = self.runner.ckpts.as_slice();
         // The legacy core is the reference and always runs in full.
         let run = match self.machine.decoded.clone() {
-            Some(d) => self.machine.run_decoded(&d, Some(fault), true),
+            Some(d) => {
+                let g = Golden {
+                    run: golden,
+                    cps,
+                    restored,
+                };
+                self.machine.run_decoded(&d, Some(fault), Some(&g))
+            }
             None => Ok(self.machine.run_mut(Some(fault))),
         };
         let result = match run {
             Ok(result) => result,
-            Err(dead) => {
-                let n = match dead {
-                    DeadFlip::UnnamedReg => &mut self.early_exits.unnamed_reg,
-                    DeadFlip::Clobbered => &mut self.early_exits.clobbered,
-                    DeadFlip::Unlatched => &mut self.early_exits.unlatched,
+            Err(exit) => {
+                let mut probes = golden.probes;
+                let n = match exit {
+                    EarlyExit::DeadReg => &mut self.early_exits.dead_reg,
+                    EarlyExit::Unlatched => &mut self.early_exits.unlatched,
+                    EarlyExit::Rejoined(b) => {
+                        // Probes never steer execution: the rest of the run
+                        // counts what the golden run counts after `b`.
+                        let (now, at_b) = (self.machine.probes, cps[b].probes);
+                        probes.vote_repairs =
+                            probes.vote_repairs - at_b.vote_repairs + now.vote_repairs;
+                        probes.trump_recovers =
+                            probes.trump_recovers - at_b.trump_recovers + now.trump_recovers;
+                        &mut self.early_exits.rejoined
+                    }
                 };
                 *n += 1;
                 RunResult {
                     status: golden.status,
                     output: golden.output.clone(),
                     dyn_instrs: golden.dyn_instrs,
-                    probes: golden.probes,
+                    probes,
                     injected: true,
                     fault_pc: self.machine.fault_pc,
                     cycles: None,
@@ -616,11 +668,12 @@ mod tests {
         }
     }
 
-    /// The dead-flip early exit returns exactly the full run's result: on
-    /// every slot × injectable register × a few single-bit and burst
-    /// masks, plus a transient ALU fault at every slot, the decoded and
-    /// jit replayers (which stop early) agree with the legacy one (which
-    /// never does), and every exit reason fires.
+    /// The early exits at injection return exactly the full run's result:
+    /// on every slot × injectable register × a few single-bit and burst
+    /// masks, plus a transient ALU fault at every slot, the decoded and jit
+    /// replayers (which stop early) agree with the legacy one (which never
+    /// does), and both exit reasons fire. This run is too short for rejoin
+    /// tests; `rejoins_match_the_full_run` covers those.
     #[test]
     fn dead_flip_early_exit_matches_the_full_run() {
         use crate::fault::FaultEffect;
@@ -660,10 +713,88 @@ mod tests {
         }
         assert_eq!(rl.early_exits().total(), 0, "legacy runs in full");
         for exits in [rd.early_exits(), rj.early_exits()] {
-            assert!(exits.unnamed_reg > 0, "{exits:?}");
-            assert!(exits.clobbered > 0, "{exits:?}");
+            assert!(exits.dead_reg > 0, "{exits:?}");
             assert!(exits.unlatched > 0, "{exits:?}");
         }
+        assert_eq!(rd.early_exits(), rj.early_exits());
+    }
+
+    /// A counted loop of about 9,000 instructions: each iteration calls
+    /// `twice`, accumulates and stores the running value, so checkpoints
+    /// land mid-loop and mid-call with most of the run still ahead.
+    fn long_loop_program() -> sor_ir::Program {
+        use sor_ir::{CmpOp, RegClass};
+        let mut mb = ModuleBuilder::new("long");
+        let g = mb.alloc_global_u64s("g", &[0, 0]);
+        let mut callee = mb.function("twice");
+        let p = callee.param(RegClass::Int);
+        let d = callee.add(Width::W64, p, p);
+        callee.set_ret_count(1);
+        callee.ret(&[Operand::reg(d)]);
+        let twice = callee.finish();
+        let mut f = mb.function("main");
+        let base = f.movi(g as i64);
+        let (i, acc) = (f.movi(0), f.movi(1));
+        let (body, exit) = (f.block(), f.block());
+        f.jump(body);
+        f.switch_to(body);
+        let d = f.call(twice, &[Operand::reg(i)], &[RegClass::Int]);
+        let sum = f.add(Width::W64, acc, d[0]);
+        f.mov_to(acc, sum);
+        f.store(MemWidth::B8, base, 8, acc);
+        let next = f.add(Width::W64, i, 1i64);
+        f.mov_to(i, next);
+        let more = f.cmp(CmpOp::LtU, Width::W64, i, 700i64);
+        f.branch(more, body, exit);
+        f.switch_to(exit);
+        let back = f.load(MemWidth::B8, base, 8);
+        f.emit(Operand::reg(back));
+        f.ret(&[]);
+        let id = f.finish();
+        lower(&mb.finish(id), &LowerConfig::default()).unwrap()
+    }
+
+    /// Runs that rejoin the golden run at a checkpoint boundary return
+    /// exactly the full run's result, on both span engines, for register,
+    /// ALU and memory faults at a spread of slots.
+    #[test]
+    fn rejoins_match_the_full_run() {
+        use crate::fault::FaultEffect;
+        let prog = long_loop_program();
+        let g0 = prog.globals[0].addr;
+        let mk = |engine| {
+            let cfg = MachineConfig {
+                engine,
+                checkpoint_interval: 50,
+                ..MachineConfig::default()
+            };
+            Runner::new(&prog, &cfg)
+        };
+        let (legacy, decoded, jit) = (
+            mk(ExecEngine::Legacy),
+            mk(ExecEngine::Decoded),
+            mk(ExecEngine::Jit),
+        );
+        assert!(legacy.golden().dyn_instrs > 2 * 4096);
+        let (mut rl, mut rd, mut rj) = (legacy.replayer(), decoded.replayer(), jit.replayer());
+        for at in (0..legacy.golden().dyn_instrs).step_by(41) {
+            let mut effects: Vec<FaultEffect> = FaultSpec::injectable_regs()
+                .map(|reg| FaultEffect::RegXor { reg, mask: 1 << 9 })
+                .collect();
+            effects.push(FaultEffect::AluXor { mask: 1 << 3 });
+            effects.push(FaultEffect::MemXor {
+                addr: g0 + 8,
+                bit: 1,
+            });
+            for effect in effects {
+                let f = GenFault::new(at, effect);
+                let expected = rl.run_fault(f);
+                assert_eq!(rd.run_fault(f), expected, "{f}: decoded diverged");
+                assert_eq!(rj.run_fault(f), expected, "{f}: jit diverged");
+            }
+        }
+        assert_eq!(rl.early_exits().total(), 0, "legacy runs in full");
+        assert!(rj.early_exits().rejoined > 0, "{}", rj.early_exits());
         assert_eq!(rd.early_exits(), rj.early_exits());
     }
 

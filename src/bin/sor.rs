@@ -181,6 +181,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     println!("SDC (+hangs)  : {:>6.2}%", counts.pct_sdc());
     println!("SEGV (+DUE)   : {:>6.2}%", counts.pct_segv());
     println!("recoveries    : {}", counts.recoveries);
+    println!("early exits   : {}", replayer.early_exits());
     Ok(())
 }
 

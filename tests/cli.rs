@@ -55,6 +55,7 @@ fn campaign_reports_percentages() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("unACE"), "{stdout}");
     assert!(stdout.contains("injections    : 60"), "{stdout}");
+    assert!(stdout.contains("early exits   : rejoined="), "{stdout}");
 }
 
 #[test]
