@@ -5,6 +5,7 @@ use sor_core::Technique;
 use sor_regalloc::LowerConfig;
 use sor_sim::{Machine, MachineConfig, TimingConfig};
 use sor_workloads::Workload;
+use std::sync::Arc;
 
 /// Performance-run parameters.
 #[derive(Debug, Clone, Default)]
@@ -53,7 +54,7 @@ pub fn measure_perf_in(
         timing: Some(cfg.timing.clone()),
         ..MachineConfig::default()
     };
-    let r = Machine::new(program, &mcfg).run(None);
+    let r = Machine::with_images(program, &mcfg, Arc::clone(&artifact.decoded), None).run(None);
     assert_eq!(
         r.status,
         sor_sim::RunStatus::Completed,

@@ -465,3 +465,50 @@ fn decoded_checkpointed_replay_matches_legacy_from_scratch() {
         assert_eq!(j_res, l_res, "{f}: jit");
     }
 }
+
+/// With executable mappings refused, as a W^X policy refuses them
+/// (simulated through `sor-sim`'s thread-local test seam, not a kernel
+/// setting), native compilation fails with the `mprotect` error and a jit
+/// campaign runs on the decoded interpreter instead, with a result equal
+/// to the native campaign's.
+#[test]
+fn refused_exec_mappings_fall_back_to_decoded() {
+    let w = AdpcmDec {
+        samples: 100,
+        seed: 3,
+    };
+    let cfg = CampaignConfig {
+        runs: 60,
+        seed: 11,
+        threads: 1,
+        ..Default::default()
+    };
+    assert_eq!(cfg.engine, ExecEngine::Jit);
+    let lower = LowerConfig::default();
+    for technique in [Technique::SwiftR, Technique::Trump] {
+        let refused = sor_sim::with_exec_mappings_refused(|| {
+            let store = ArtifactStore::new();
+            let art = store.get(&w, technique, &Default::default(), &lower);
+            let err = sor_sim::JitProg::compile(&art.decoded, &art.program)
+                .expect_err("executable mappings are refused");
+            if cfg!(all(target_arch = "x86_64", target_os = "linux")) {
+                assert_eq!(
+                    err,
+                    sor_sim::JitError::Sys {
+                        call: "mprotect",
+                        errno: 13
+                    }
+                );
+            }
+            assert!(art.jit_for(ExecEngine::Jit).is_none());
+            run_campaign_in(&store, &w, technique, &cfg)
+        });
+        let store = ArtifactStore::new();
+        let native = run_campaign_in(&store, &w, technique, &cfg);
+        if cfg!(all(target_arch = "x86_64", target_os = "linux")) {
+            let art = store.get(&w, technique, &Default::default(), &lower);
+            assert!(art.jit_for(ExecEngine::Jit).is_some(), "{technique}");
+        }
+        assert_eq!(format!("{refused:?}"), format!("{native:?}"), "{technique}");
+    }
+}

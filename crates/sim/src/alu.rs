@@ -11,7 +11,7 @@
 //! and the result is truncated back. The equivalence with the twin-ladder
 //! semantics is pinned by the exhaustive op × width tests below.
 
-use sor_ir::{AluOp, CmpOp, MemWidth, Width};
+use sor_ir::{AluOp, CmpOp, Width};
 
 /// Truncates `v` to the value bits of `width` (zero-extending register
 /// representation).
@@ -92,19 +92,21 @@ pub(crate) fn cmp_eval(op: CmpOp, width: Width, a: u64, b: u64) -> bool {
 }
 
 /// Sign-extends a raw little-endian load of `width` bytes to 64 bits.
+#[cfg(any(test, feature = "legacy"))]
 #[inline]
-pub(crate) fn sign_extend(raw: u64, width: MemWidth) -> u64 {
+pub(crate) fn sign_extend(raw: u64, width: sor_ir::MemWidth) -> u64 {
     match width {
-        MemWidth::B1 => raw as u8 as i8 as i64 as u64,
-        MemWidth::B2 => raw as u16 as i16 as i64 as u64,
-        MemWidth::B4 => raw as u32 as i32 as i64 as u64,
-        MemWidth::B8 => raw,
+        sor_ir::MemWidth::B1 => raw as u8 as i8 as i64 as u64,
+        sor_ir::MemWidth::B2 => raw as u16 as i16 as i64 as u64,
+        sor_ir::MemWidth::B4 => raw as u32 as i32 as i64 as u64,
+        sor_ir::MemWidth::B8 => raw,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sor_ir::MemWidth;
 
     /// The historical twin-ladder implementation, transliterated verbatim
     /// from the pre-refactor `machine.rs`, kept only as the equivalence

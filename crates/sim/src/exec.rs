@@ -35,13 +35,24 @@
 //! of the first two golden checkpoint boundaries after injection if the
 //! faulty state equals the golden one there apart from dead registers.
 //! The replayer then reports what the full run would have (DESIGN.md §11).
+//!
+//! # Timed runs
+//!
+//! With the timing model on, the same span loop drives it through a
+//! [`Clock`]: every executed op hands the scheduler its per-pc descriptor
+//! ([`OpTiming`]), memory ops their address first and taken branches
+//! their redirect. Timed runs never enter native code, since the model
+//! needs every effective address. Untimed runs use [`Untimed`], whose
+//! methods are empty, so their monomorphization of the loop is the
+//! functional one.
 
 use crate::decode::{DArg, DLoc, DecodedProg, Ext, Src, UOp};
 use crate::fault::{FaultEffect, GenFault};
 use crate::machine::{Frame, Machine, ProbeCounts, RunResult, RunStatus, Val, MAX_FRAMES, SP_IDX};
+use crate::timing::{OpTiming, Timing, TimingConfig};
 use crate::trace::TraceSink;
 use crate::Checkpoint;
-use sor_ir::{layout, CmpOp, ExtFunc, ProbeEvent, Width};
+use sor_ir::{layout, CmpOp, ExtFunc, ProbeEvent, Program, Width};
 
 /// Why [`Machine::exec_span`] stopped.
 enum SpanExit {
@@ -50,6 +61,78 @@ enum SpanExit {
     Budget,
     /// The program terminated.
     Done(RunStatus),
+}
+
+/// What the span loop reports to the timing model. Each method is called
+/// only for work that happened: `issue` once an op has executed (a `Ret`
+/// before it pops its frame, as it always did), the memory calls once the
+/// access succeeded and only off the output page.
+pub(crate) trait Clock {
+    /// Whether this clock models time: timed runs stay interpreted.
+    const TIMED: bool;
+    /// The load about to issue read `addr`.
+    fn load(&mut self, addr: u64);
+    /// The store about to issue wrote `addr`.
+    fn store(&mut self, addr: u64);
+    /// The op at `pc` executed.
+    fn issue(&mut self, pc: usize);
+    /// The `Branch` just issued was taken.
+    fn taken(&mut self);
+}
+
+/// The clock of functional runs: no timing model.
+pub(crate) struct Untimed;
+
+impl Clock for Untimed {
+    const TIMED: bool = false;
+    #[inline(always)]
+    fn load(&mut self, _: u64) {}
+    #[inline(always)]
+    fn store(&mut self, _: u64) {}
+    #[inline(always)]
+    fn issue(&mut self, _: usize) {}
+    #[inline(always)]
+    fn taken(&mut self) {}
+}
+
+/// The clock of timed runs: the scheduler plus the program's per-pc
+/// descriptors.
+pub(crate) struct Timed {
+    pub(crate) tm: Timing,
+    ops: Box<[OpTiming]>,
+}
+
+impl Timed {
+    /// A fresh scheduler for `cfg` and the descriptors of `prog`. They
+    /// are built per run rather than memoized with the decoded image: a
+    /// few microseconds against a run of milliseconds, and no memory held
+    /// between runs.
+    pub(crate) fn new(cfg: &TimingConfig, prog: &Program) -> Self {
+        Timed {
+            tm: Timing::new(cfg),
+            ops: prog.insts.iter().map(OpTiming::of).collect(),
+        }
+    }
+}
+
+impl Clock for Timed {
+    const TIMED: bool = true;
+    #[inline(always)]
+    fn load(&mut self, addr: u64) {
+        self.tm.load(addr);
+    }
+    #[inline(always)]
+    fn store(&mut self, addr: u64) {
+        self.tm.mem_access(addr);
+    }
+    #[inline(always)]
+    fn issue(&mut self, pc: usize) {
+        self.tm.issue_op(&self.ops[pc]);
+    }
+    #[inline(always)]
+    fn taken(&mut self) {
+        self.tm.taken_branch();
+    }
 }
 
 /// Why a fault run stopped before the program ended: the rest of the run
@@ -94,12 +177,14 @@ impl Machine<'_> {
     /// Given the `golden` run, a fault run stops with an [`EarlyExit`] as
     /// soon as the rest of it is provably the golden run's; the caller
     /// then owes the golden run's result (see `Replayer::run_fault`).
-    /// Without it, every run goes to completion.
-    pub(crate) fn run_decoded(
+    /// Without it, every run goes to completion. `clock` sees every
+    /// executed op.
+    pub(crate) fn run_decoded<C: Clock>(
         &mut self,
         d: &DecodedProg,
         fault: Option<GenFault>,
         golden: Option<&Golden>,
+        clock: &mut C,
     ) -> Result<RunResult, EarlyExit> {
         let jit = self.jit.clone();
         // The golden checkpoints still to test for a rejoin, once the
@@ -138,7 +223,7 @@ impl Machine<'_> {
                                 // The slot's counted instruction needs
                                 // single-step execution to latch the
                                 // corrupted result.
-                                match self.exec_alu_slot(d, mask) {
+                                match self.exec_alu_slot(d, mask, clock) {
                                     Err(s) => break s,
                                     Ok(None) if golden.is_some() => {
                                         return Err(EarlyExit::Unlatched)
@@ -178,7 +263,7 @@ impl Machine<'_> {
                     budget = budget.min(g.cps[b].at - self.dyn_count);
                 }
             }
-            match self.exec_span(d, jit.as_deref(), budget) {
+            match self.exec_span(d, jit.as_deref(), budget, clock) {
                 SpanExit::Budget => continue,
                 SpanExit::Done(s) => break s,
             }
@@ -232,9 +317,14 @@ impl Machine<'_> {
     /// operation width — into the destination if that instruction was an
     /// ALU op that committed. Returns the register the corruption latched
     /// into (`None` when it latched nothing), or the terminal status if
-    /// the program ended at this slot. Mirrors the legacy `run_mut`
+    /// the program ended at this slot. Mirrors the legacy `run_legacy`
     /// AluXor arm.
-    fn exec_alu_slot(&mut self, d: &DecodedProg, mask: u64) -> Result<Option<u8>, RunStatus> {
+    fn exec_alu_slot<C: Clock>(
+        &mut self,
+        d: &DecodedProg,
+        mask: u64,
+        clock: &mut C,
+    ) -> Result<Option<u8>, RunStatus> {
         while let UOp::Probe(e) = &d.uops[self.pc] {
             bump_probe(&mut self.probes, *e);
             self.pc += 1;
@@ -247,7 +337,7 @@ impl Machine<'_> {
         // Single-op span: no native dispatch (the one op would side-exit
         // or finish immediately anyway), keeping the corrupted-result
         // latch on the one interpreted path.
-        match self.exec_span(d, None, 1) {
+        match self.exec_span(d, None, 1, clock) {
             SpanExit::Budget => Ok(target.and_then(|(w, dst)| {
                 let m = crate::alu::trunc(w, mask);
                 let v = self.ireg(dst) ^ m;
@@ -266,7 +356,7 @@ impl Machine<'_> {
         let mut masks = Vec::new();
         while self.dyn_count < self.fuel {
             masks.push(d.live(self.prog).live_at(self.pc, &self.frames));
-            if let SpanExit::Done(_) = self.exec_span(d, None, 1) {
+            if let SpanExit::Done(_) = self.exec_span(d, None, 1, &mut Untimed) {
                 break;
             }
         }
@@ -292,7 +382,7 @@ impl Machine<'_> {
                 next_at = self.dyn_count.saturating_add(interval);
             }
             let budget = (self.fuel - self.dyn_count).min(next_at - self.dyn_count);
-            match self.exec_span(d, jit.as_deref(), budget) {
+            match self.exec_span(d, jit.as_deref(), budget, &mut Untimed) {
                 SpanExit::Budget => continue,
                 SpanExit::Done(s) => break s,
             }
@@ -331,7 +421,7 @@ impl Machine<'_> {
             sink.record(self.dyn_count, check_pc, reads, writes);
             // Tracing observes every slot, so spans are single ops — the
             // native engine would buy nothing; stay interpreted.
-            match self.exec_span(d, None, 1) {
+            match self.exec_span(d, None, 1, &mut Untimed) {
                 SpanExit::Budget => continue,
                 SpanExit::Done(s) => break s,
             }
@@ -343,13 +433,16 @@ impl Machine<'_> {
     /// for free), stopping early only on termination. On `Budget` exit the
     /// machine sits at the first instruction boundary whose dynamic count
     /// equals the observation slot — before any probe at that boundary has
-    /// executed (see the module docs for why).
-    fn exec_span(
+    /// executed (see the module docs for why). A timed `clock` keeps the
+    /// span interpreted.
+    fn exec_span<C: Clock>(
         &mut self,
         d: &DecodedProg,
         jit: Option<&crate::JitProg>,
         mut left: u64,
+        clock: &mut C,
     ) -> SpanExit {
+        let jit = if C::TIMED { None } else { jit };
         loop {
             let pc = self.pc;
             let run = d.run_len[pc] as u64;
@@ -382,10 +475,11 @@ impl Machine<'_> {
                         if rest_run == 0 || rest_run > left {
                             continue;
                         }
-                        if let Err(s) = self.exec_straight(&d.uops[stop]) {
+                        if let Err(s) = self.exec_straight(&d.uops[stop], clock) {
                             self.dyn_count += 1;
                             return SpanExit::Done(s);
                         }
+                        clock.issue(stop);
                         self.dyn_count += 1;
                         left -= 1;
                         self.pc = stop + 1;
@@ -402,11 +496,12 @@ impl Machine<'_> {
                 let n = run.min(left) as usize;
                 left -= n as u64;
                 for (i, u) in d.uops[pc..pc + n].iter().enumerate() {
-                    if let Err(s) = self.exec_straight(u) {
+                    if let Err(s) = self.exec_straight(u, clock) {
                         self.dyn_count += i as u64 + 1;
                         self.pc = pc + i;
                         return SpanExit::Done(s);
                     }
+                    clock.issue(pc + i);
                 }
                 self.dyn_count += n as u64;
                 self.pc = pc + n;
@@ -429,9 +524,14 @@ impl Machine<'_> {
             left -= 1;
             self.dyn_count += 1;
             match &d.uops[pc] {
-                UOp::Jump(t) => self.pc = *t as usize,
+                UOp::Jump(t) => {
+                    clock.issue(pc);
+                    self.pc = *t as usize;
+                }
                 UOp::Branch { cond, t, f } => {
+                    clock.issue(pc);
                     self.pc = if self.ireg(*cond) != 0 {
+                        clock.taken();
                         *t as usize
                     } else {
                         *f as usize
@@ -458,6 +558,7 @@ impl Machine<'_> {
                         ret_pc: *ret_pc as usize,
                         ret_dsts: ret_dsts.clone(),
                     });
+                    clock.issue(pc);
                     self.pc = *target as usize;
                 }
                 UOp::Ret { frame_size, vals } => {
@@ -469,6 +570,7 @@ impl Machine<'_> {
                         }
                     }
                     self.iregs[SP_IDX] = self.iregs[SP_IDX].wrapping_add(*frame_size);
+                    clock.issue(pc);
                     match self.frames.pop() {
                         None => return SpanExit::Done(RunStatus::Completed),
                         Some(frame) => {
@@ -491,10 +593,11 @@ impl Machine<'_> {
         }
     }
 
-    /// Executes one straight-line micro-op (anything `run_len` counts);
-    /// the caller advances `pc` and `dyn_count`.
+    /// Executes one straight-line micro-op (anything `run_len` counts),
+    /// reporting its data-cache access to `clock`; the caller advances
+    /// `pc` and `dyn_count` and issues the op.
     #[inline]
-    fn exec_straight(&mut self, u: &UOp) -> Result<(), RunStatus> {
+    fn exec_straight<C: Clock>(&mut self, u: &UOp, clock: &mut C) -> Result<(), RunStatus> {
         match u {
             UOp::Alu64 { op, dst, a, b } => {
                 let x = self.src_val(a);
@@ -553,6 +656,7 @@ impl Machine<'_> {
                     Ok(v) => v,
                     Err(_) => return Err(RunStatus::Segv),
                 };
+                clock.load(addr);
                 let v = match ext {
                     Ext::Zero => raw,
                     Ext::S1 => raw as u8 as i8 as i64 as u64,
@@ -574,6 +678,8 @@ impl Machine<'_> {
                     self.out.push(v & mask);
                 } else if self.mem.write(addr, *bytes, v).is_err() {
                     return Err(RunStatus::Segv);
+                } else {
+                    clock.store(addr);
                 }
             }
             UOp::Fpu { op, dst, a, b } => {
@@ -613,6 +719,7 @@ impl Machine<'_> {
                     Ok(v) => v,
                     Err(_) => return Err(RunStatus::Segv),
                 };
+                clock.load(addr);
                 self.set_freg(*dst, f64::from_bits(raw));
             }
             UOp::FStore { base, offset, src } => {
@@ -622,6 +729,8 @@ impl Machine<'_> {
                     self.out.push(bits);
                 } else if self.mem.write(addr, 8, bits).is_err() {
                     return Err(RunStatus::Segv);
+                } else {
+                    clock.store(addr);
                 }
             }
             UOp::CallExt { func, arg } => {

@@ -340,6 +340,40 @@ unsafe impl Send for JitProg {}
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 unsafe impl Sync for JitProg {}
 
+#[cfg(any(test, feature = "legacy"))]
+thread_local! {
+    /// Whether this thread's executable mappings are refused; see
+    /// [`with_exec_mappings_refused`].
+    static EXEC_REFUSED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Runs `f` as if the kernel refused every executable mapping this thread
+/// asks for, the way a W^X policy refuses `mprotect(PROT_EXEC)`: each
+/// [`JitProg::compile`] inside fails with [`JitError::Sys`], so the jit
+/// engine falls back to the decoded interpreter. A test seam, compiled
+/// only into tests and under the `legacy` feature; it changes no kernel
+/// setting.
+#[cfg(any(test, feature = "legacy"))]
+pub fn with_exec_mappings_refused<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            EXEC_REFUSED.with(|r| r.set(self.0));
+        }
+    }
+    let _restore = Restore(EXEC_REFUSED.with(|r| r.replace(true)));
+    f()
+}
+
+/// Whether the test seam refuses this thread's executable mappings.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+fn exec_refused() -> bool {
+    #[cfg(any(test, feature = "legacy"))]
+    return EXEC_REFUSED.with(|r| r.get());
+    #[cfg(not(any(test, feature = "legacy")))]
+    false
+}
+
 /// An executable memory mapping obtained with raw syscalls (W^X: mapped
 /// read-write, filled, then flipped to read-execute).
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
@@ -386,19 +420,23 @@ impl ExecBuf {
         // SAFETY: the fresh RW mapping is at least `code.len()` bytes.
         unsafe { std::ptr::copy_nonoverlapping(code.as_ptr(), ptr, code.len()) };
         // mprotect(ptr, len, RX)
-        // SAFETY: `ptr..ptr + len` is exactly the mapping created above,
-        // which nothing else references; dropping write access cannot
-        // invalidate any live Rust reference.
-        let ret = unsafe {
-            syscall(
-                10,
-                ptr as i64,
-                len as i64,
-                Self::PROT_READ | Self::PROT_EXEC,
-                0,
-                0,
-                0,
-            )
+        let ret = if exec_refused() {
+            -13 // EACCES, as a W^X policy answers
+        } else {
+            // SAFETY: `ptr..ptr + len` is exactly the mapping created
+            // above, which nothing else references; dropping write access
+            // cannot invalidate any live Rust reference.
+            unsafe {
+                syscall(
+                    10,
+                    ptr as i64,
+                    len as i64,
+                    Self::PROT_READ | Self::PROT_EXEC,
+                    0,
+                    0,
+                    0,
+                )
+            }
         };
         if ret != 0 {
             // munmap(ptr, len)

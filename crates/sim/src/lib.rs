@@ -24,10 +24,12 @@
 //!   array index plus jump-table dispatch with fault/trace/checkpoint
 //!   observation hoisted to superblock boundaries at exact dynamic-slot
 //!   granularity. It is the span loop the jit engine drives and its
-//!   fallback; [`ExecEngine::Decoded`] runs it alone as a
-//!   differential-testing oracle, and the legacy tree-matching
-//!   interpreter remains as the reference oracle and the timing-model
-//!   driver.
+//!   fallback, and the loop every timed run executes;
+//!   [`ExecEngine::Decoded`] runs it alone as a differential-testing
+//!   oracle. The legacy tree-matching interpreter remains as the
+//!   reference oracle, compiled only into tests and under the `legacy`
+//!   cargo feature, with the per-instruction timing run
+//!   `timing_reference` the span loop's timing is pinned against.
 //! * [`JitProg`] — superblocks compiled to native x86-64 by a
 //!   dependency-free template emitter ([`ExecEngine::Jit`], the default
 //!   [`MachineConfig::engine`]): a compiled span either runs to its edge
@@ -37,10 +39,13 @@
 //!   back to the decoded interpreter (with a one-time warning) on targets
 //!   the emitter does not cover or where the kernel refuses an executable
 //!   mapping.
-//! * [`Timing`] — an in-order, issue-width-limited scoreboard with an L1-D
-//!   cache model. It reproduces the two effects the paper's performance
-//!   numbers hinge on: spare ILP absorbing independent redundant
-//!   instructions, and memory-bound code hiding the transform overhead.
+//! * [`TimingConfig`] — the parameters of the timing model, an
+//!   out-of-order dataflow scheduler (issue-width-limited fetch and
+//!   issue, finite in-order-retiring ROB) with an L1-D cache model, fed
+//!   per-pc descriptors by the decoded span loop. It
+//!   reproduces the two effects the paper's performance numbers hinge
+//!   on: spare ILP absorbing independent redundant instructions, and
+//!   memory-bound code hiding the transform overhead.
 //! * [`Runner`] / [`Outcome`] — golden-vs-faulty comparison and the paper's
 //!   unACE / SDC / SEGV classification. Fault runs use checkpoint-and-replay
 //!   (see [`Checkpoint`]): the golden run's architectural state is
@@ -59,6 +64,8 @@ mod decode;
 mod exec;
 mod fault;
 mod jit;
+#[cfg(any(test, feature = "legacy"))]
+mod legacy;
 mod liveness;
 mod machine;
 mod mem;
@@ -71,10 +78,14 @@ pub use cache::{Cache, CacheConfig};
 pub use checkpoint::{Checkpoint, CheckpointStore};
 pub use decode::DecodedProg;
 pub use fault::{FaultEffect, FaultSpec, GenFault, INJECTABLE_REGS};
+#[cfg(any(test, feature = "legacy"))]
+pub use jit::with_exec_mappings_refused;
 pub use jit::{JitError, JitProg};
+#[cfg(any(test, feature = "legacy"))]
+pub use legacy::timing_reference;
 pub use machine::{ExecEngine, Machine, MachineConfig, ProbeCounts, RunResult, RunStatus};
 pub use mem::{MemError, Memory, PageSnapshot, PAGE_SIZE};
 pub use outcome::{classify, Outcome};
 pub use runner::{EarlyExits, GenFaultRecord, Replayer, Runner};
-pub use timing::{Latencies, Timing, TimingConfig};
+pub use timing::{Latencies, TimingConfig};
 pub use trace::TraceSink;

@@ -1,35 +1,35 @@
-//! The functional machine: executes program images instruction by
-//! instruction, optionally injecting one transient fault and/or driving the
-//! timing model.
+//! The machine: architectural state for one run over one program image,
+//! optionally injecting one transient fault and/or driving the timing
+//! model. Execution lives in `crate::exec` (the span loop); the legacy
+//! interpreter, a test oracle, in `crate::legacy`.
 
-use crate::alu::{alu_eval, cmp_eval, sign_extend, trunc};
 use crate::checkpoint::Checkpoint;
 use crate::decode::DecodedProg;
-use crate::fault::{FaultEffect, GenFault};
+use crate::exec::{Timed, Untimed};
+use crate::fault::GenFault;
 use crate::mem::Memory;
-use crate::timing::{Timing, TimingConfig};
+use crate::timing::TimingConfig;
 use crate::trace::TraceSink;
-use sor_ir::{
-    layout, AluOp, CmpOp, ExtFunc, FpOp, PArg, PInst, PLoc, POperand, Preg, ProbeEvent, Program,
-    RegClass, TrapKind, NUM_FREGS, NUM_IREGS,
-};
+use sor_ir::{layout, PArg, PInst, PLoc, POperand, Preg, Program, RegClass, NUM_FREGS, NUM_IREGS};
 use std::sync::Arc;
 
-/// Which interpreter core executes the program.
+/// Which interpreter core executes the program's functional runs.
 ///
 /// All engines are pinned bit-for-bit equivalent on every observable
 /// (results, fault outcomes, trace events, checkpoint snapshots). The
 /// default, [`ExecEngine::Jit`], is the production engine; the decoded
 /// and legacy cores are the differential-testing oracles, chosen only
-/// from Rust, and the legacy core is the only one that drives the timing
-/// model.
+/// from Rust. Timed runs (see [`MachineConfig::timing`]) run on the
+/// decoded span loop whatever the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecEngine {
     /// Predecoded micro-op engine with superblock dispatch (see
-    /// [`crate::DecodedProg`]). Functional-only: timing runs fall back to
-    /// the legacy core automatically.
+    /// [`crate::DecodedProg`]).
     Decoded,
-    /// The original tree-matching interpreter over [`sor_ir::PInst`].
+    /// The original tree-matching interpreter over [`sor_ir::PInst`]: the
+    /// reference oracle, compiled only into tests and under the `legacy`
+    /// cargo feature.
+    #[cfg(any(test, feature = "legacy"))]
     Legacy,
     /// Superblocks compiled to native x86-64 (see [`crate::JitProg`]),
     /// driven through the decoded engine's span loop so every observation
@@ -42,6 +42,7 @@ pub enum ExecEngine {
 
 impl ExecEngine {
     /// All engines, in oracle order (legacy is the reference).
+    #[cfg(any(test, feature = "legacy"))]
     pub const ALL: [ExecEngine; 3] = [ExecEngine::Legacy, ExecEngine::Decoded, ExecEngine::Jit];
 
     /// The images this engine executes from, reusing whichever are
@@ -54,6 +55,7 @@ impl ExecEngine {
         decoded: Option<Arc<DecodedProg>>,
         jit: Option<Arc<crate::JitProg>>,
     ) -> (Option<Arc<DecodedProg>>, Option<Arc<crate::JitProg>>) {
+        #[cfg(any(test, feature = "legacy"))]
         if self == ExecEngine::Legacy {
             return (None, None);
         }
@@ -73,7 +75,9 @@ pub struct MachineConfig {
     /// [`RunStatus::OutOfFuel`] (a hang under the SEU model).
     pub fuel: u64,
     /// Enable the cycle-accurate-ish timing model (performance runs only;
-    /// fault campaigns run functional-only for speed).
+    /// fault campaigns run functional-only for speed). A timed run
+    /// executes on the decoded span loop, feeding the model per-pc
+    /// descriptors, and never enters native code.
     pub timing: Option<TimingConfig>,
     /// Golden-run checkpoint interval in dynamic instructions, used by
     /// [`crate::Runner`] for checkpoint-and-replay fault injection: `0`
@@ -82,10 +86,9 @@ pub struct MachineConfig {
     /// golden run length, any other value is used as-is. Checkpointing is
     /// functional-only and is ignored when the timing model is enabled.
     pub checkpoint_interval: u64,
-    /// Interpreter core; see [`ExecEngine`]. Defaults to the jit engine;
-    /// the other engines are differential-testing oracles. The span
-    /// engines (decoded, jit) are functional-only, so they silently defer
-    /// to the legacy core when the timing model is enabled.
+    /// Interpreter core of functional runs; see [`ExecEngine`]. Defaults
+    /// to the jit engine; the other engines are differential-testing
+    /// oracles.
     pub engine: ExecEngine,
 }
 
@@ -210,12 +213,6 @@ pub(crate) struct Frame {
     pub(crate) ret_dsts: RetDsts,
 }
 
-enum Step {
-    Next,
-    Goto(usize),
-    Done(RunStatus),
-}
-
 /// The machine: one run over one program image.
 ///
 /// Fields are crate-visible because the decoded execution engine
@@ -234,18 +231,17 @@ pub struct Machine<'p> {
     pub(crate) pending_args: Vec<Val>,
     pub(crate) dyn_count: u64,
     pub(crate) probes: ProbeCounts,
-    timing: Option<Timing>,
-    lat: crate::timing::Latencies,
+    /// The timing model's parameters, when this machine's runs are timed.
+    timing: Option<TimingConfig>,
     pub(crate) injected: bool,
     pub(crate) fault_pc: Option<usize>,
-    /// `Some` exactly when this machine executes on the decoded span loop:
-    /// the config selected a span engine ([`ExecEngine::Jit`], the
-    /// default, or [`ExecEngine::Decoded`]) and the timing model is off.
+    /// The image the span loop executes; `None` only for untimed runs on
+    /// the legacy core.
     pub(crate) decoded: Option<Arc<DecodedProg>>,
-    /// `Some` when the config selected [`ExecEngine::Jit`] (the default)
-    /// and native compilation succeeded; the decoded span loop then
-    /// dispatches in-budget spans to native code and interprets
-    /// everything else.
+    /// `Some` when the config selected [`ExecEngine::Jit`] (the default),
+    /// the timing model is off and native compilation succeeded; the
+    /// decoded span loop then dispatches in-budget spans to native code
+    /// and interprets everything else.
     pub(crate) jit: Option<Arc<crate::JitProg>>,
 }
 
@@ -255,29 +251,29 @@ pub(crate) const MAX_FRAMES: usize = 1 << 16;
 
 impl<'p> Machine<'p> {
     /// Prepares a machine to run `prog`, predecoding (and, under the
-    /// default jit engine, compiling) the program when the config selects
-    /// a span engine.
+    /// default jit engine with the timing model off, compiling) the
+    /// program.
     ///
     /// Callers constructing many machines over the same program (campaign
-    /// workers) should predecode and compile once and share the images via
-    /// [`Machine::with_images`] instead of paying the translation per
-    /// machine.
+    /// workers, timed runs of memoized artifacts) should predecode and
+    /// compile once and share the images via [`Machine::with_images`]
+    /// instead of paying the translation per machine.
     pub fn new(prog: &'p Program, cfg: &MachineConfig) -> Self {
         let (decoded, jit) = match cfg.timing {
             None => cfg.engine.images(prog, None, None),
-            Some(_) => (None, None),
+            Some(_) => (Some(Arc::new(DecodedProg::new(prog))), None),
         };
         Self::build(prog, cfg, decoded, jit)
     }
 
     /// Prepares a machine sharing both a predecoded image and (optionally)
     /// a compiled native image — the campaign-worker path, where both are
-    /// memoized per program.
+    /// memoized per program. A timed config keeps the decoded image and
+    /// ignores the native one.
     ///
     /// # Panics
     ///
-    /// Panics if either image was not produced from `prog`, or if the
-    /// config enables the timing model (span engines are functional-only).
+    /// Panics if either image was not produced from `prog`.
     pub fn with_images(
         prog: &'p Program,
         cfg: &MachineConfig,
@@ -289,10 +285,6 @@ impl<'p> Machine<'p> {
             prog.insts.len(),
             "decoded image does not match program '{}'",
             prog.name
-        );
-        assert!(
-            cfg.timing.is_none(),
-            "the decoded engine is functional-only"
         );
         if let Some(j) = &jit {
             assert!(
@@ -315,6 +307,7 @@ impl<'p> Machine<'p> {
             .iter()
             .map(|g| (g.addr, g.bytes.as_slice()))
             .collect();
+        let jit = jit.filter(|_| cfg.timing.is_none());
         let mut iregs = [0u64; NUM_IREGS];
         iregs[SP_IDX] = layout::STACK_TOP;
         Machine {
@@ -329,12 +322,7 @@ impl<'p> Machine<'p> {
             pending_args: Vec::new(),
             dyn_count: 0,
             probes: ProbeCounts::default(),
-            timing: cfg.timing.as_ref().map(Timing::new),
-            lat: cfg
-                .timing
-                .as_ref()
-                .map(|t| t.lat.clone())
-                .unwrap_or_default(),
+            timing: cfg.timing.clone(),
             injected: false,
             fault_pc: None,
             decoded,
@@ -351,9 +339,7 @@ impl<'p> Machine<'p> {
     /// consuming the machine, so the caller can [`Machine::reset`] or
     /// [`Machine::restore`] it and run again — the reusable-arena path
     /// fault campaigns use. The machine's architectural state is spent
-    /// afterwards until restored. This is the legacy core's one injection
-    /// loop; the span engines (decoded, jit) run its bit-identical
-    /// counterpart in `exec.rs`.
+    /// afterwards until restored.
     ///
     /// Effect semantics at the armed slot (the first top-of-loop check
     /// with that dynamic count — a probe's pc when probes precede the
@@ -369,65 +355,31 @@ impl<'p> Machine<'p> {
     ///   when it is an ALU op (truncated to its width); non-ALU slots and
     ///   pre-commit faults (division) latch nothing.
     pub fn run_mut(&mut self, fault: Option<GenFault>) -> RunResult {
-        if let Some(d) = &self.decoded {
-            let d = Arc::clone(d);
-            return self
-                .run_decoded(&d, fault, None)
-                .expect("a full run never stops early");
+        #[cfg(any(test, feature = "legacy"))]
+        if self.decoded.is_none() {
+            return self.run_legacy(fault);
         }
-        // An armed AluXor mask waiting for the slot's counted instruction.
-        let mut alu_pending: Option<u64> = None;
-        let status = loop {
-            if self.dyn_count >= self.fuel {
-                break RunStatus::OutOfFuel;
-            }
-            if let Some(f) = fault {
-                if !self.injected && self.dyn_count == f.at_instr {
-                    self.injected = true;
-                    self.fault_pc = Some(self.pc);
-                    match f.effect {
-                        FaultEffect::RegXor { reg, mask } => self.iregs[reg as usize] ^= mask,
-                        FaultEffect::PcXor { mask } => {
-                            let target = self.pc ^ mask as usize;
-                            if target >= self.prog.insts.len() {
-                                break RunStatus::Segv; // fetch outside the image
-                            }
-                            self.pc = target;
-                        }
-                        FaultEffect::MemXor { addr, bit } => {
-                            if let Ok(byte) = self.mem.read(addr, 1) {
-                                let _ = self.mem.write(addr, 1, byte ^ (1u64 << bit));
-                            }
-                        }
-                        FaultEffect::AluXor { mask } => alu_pending = Some(mask),
-                    }
-                }
-            }
-            // The counted instruction of an AluXor slot: probes at the same
-            // slot step normally first (they are free and uncounted).
-            let alu_target =
-                if alu_pending.is_some() && !matches!(self.prog.insts[self.pc], PInst::Probe(_)) {
-                    let mask = alu_pending.take().expect("checked above");
-                    match self.prog.insts[self.pc] {
-                        PInst::Alu { width, dst, .. } => Some((mask, width, dst)),
-                        _ => None, // the transient latched into no ALU result
-                    }
-                } else {
-                    None
-                };
-            match self.step() {
-                Step::Next => {
-                    if let Some((mask, width, dst)) = alu_target {
-                        let m = trunc(width, mask);
-                        self.iregs[dst.index() as usize] ^= m;
-                    }
-                    self.pc += 1;
-                }
-                Step::Goto(t) => self.pc = t,
-                Step::Done(s) => break s,
+        let d = Arc::clone(self.image());
+        let r = match &self.timing {
+            None => self.run_decoded(&d, fault, None, &mut Untimed),
+            Some(cfg) => {
+                let mut clock = Timed::new(cfg, self.prog);
+                self.run_decoded(&d, fault, None, &mut clock).map(|mut r| {
+                    r.cycles = Some(clock.tm.cycles());
+                    r.cache_hits = Some(clock.tm.cache_hits());
+                    r.cache_misses = Some(clock.tm.cache_misses());
+                    r
+                })
             }
         };
-        self.take_result(status)
+        r.expect("a full run never stops early")
+    }
+
+    /// The decoded image of a span-loop machine.
+    fn image(&self) -> &Arc<DecodedProg> {
+        self.decoded
+            .as_ref()
+            .expect("only the legacy core runs without a decoded image")
     }
 
     pub(crate) fn take_result(&mut self, status: RunStatus) -> RunResult {
@@ -438,9 +390,9 @@ impl<'p> Machine<'p> {
             probes: self.probes,
             injected: self.injected,
             fault_pc: self.fault_pc,
-            cycles: self.timing.as_ref().map(Timing::cycles),
-            cache_hits: self.timing.as_ref().map(Timing::cache_hits),
-            cache_misses: self.timing.as_ref().map(Timing::cache_misses),
+            cycles: None,
+            cache_hits: None,
+            cache_misses: None,
         }
     }
 
@@ -533,27 +485,12 @@ impl<'p> Machine<'p> {
     pub fn run_golden_with_checkpoints(&mut self, interval: u64) -> (RunResult, Vec<Checkpoint>) {
         debug_assert!(self.timing.is_none(), "checkpointing is functional-only");
         assert!(interval > 0, "checkpoint interval must be positive");
-        if let Some(d) = &self.decoded {
-            let d = Arc::clone(d);
-            return self.run_golden_with_checkpoints_decoded(&d, interval);
+        #[cfg(any(test, feature = "legacy"))]
+        if self.decoded.is_none() {
+            return self.run_golden_with_checkpoints_legacy(interval);
         }
-        let mut cps = Vec::new();
-        let mut next_at = 0u64;
-        let status = loop {
-            if self.dyn_count >= self.fuel {
-                break RunStatus::OutOfFuel;
-            }
-            if self.dyn_count >= next_at {
-                cps.push(self.capture());
-                next_at = self.dyn_count.saturating_add(interval);
-            }
-            match self.step() {
-                Step::Next => self.pc += 1,
-                Step::Goto(t) => self.pc = t,
-                Step::Done(s) => break s,
-            }
-        };
-        (self.take_result(status), cps)
+        let d = Arc::clone(self.image());
+        self.run_golden_with_checkpoints_decoded(&d, interval)
     }
 
     /// Runs the fault-free golden execution, reporting one def-use event
@@ -567,31 +504,12 @@ impl<'p> Machine<'p> {
     /// counted instruction.
     pub fn run_golden_traced(&mut self, sink: &mut dyn TraceSink) -> RunResult {
         debug_assert!(self.timing.is_none(), "tracing is functional-only");
-        if let Some(d) = &self.decoded {
-            let d = Arc::clone(d);
-            return self.run_golden_traced_decoded(&d, sink);
+        #[cfg(any(test, feature = "legacy"))]
+        if self.decoded.is_none() {
+            return self.run_golden_traced_legacy(sink);
         }
-        let mut check_pc = self.pc;
-        let mut checked: Option<u64> = None;
-        let status = loop {
-            if self.dyn_count >= self.fuel {
-                break RunStatus::OutOfFuel;
-            }
-            if checked != Some(self.dyn_count) {
-                checked = Some(self.dyn_count);
-                check_pc = self.pc;
-            }
-            if !matches!(self.prog.insts[self.pc], PInst::Probe(_)) {
-                let (reads, writes) = self.dyn_int_accesses();
-                sink.record(self.dyn_count, check_pc, reads, writes);
-            }
-            match self.step() {
-                Step::Next => self.pc += 1,
-                Step::Goto(t) => self.pc = t,
-                Step::Done(s) => break s,
-            }
-        };
-        self.take_result(status)
+        let d = Arc::clone(self.image());
+        self.run_golden_traced_decoded(&d, sink)
     }
 
     /// Integer-register (read, write) bitmasks of the instruction at the
@@ -633,7 +551,8 @@ impl<'p> Machine<'p> {
             }
             PInst::Select { dst, cond, t, f } => {
                 reads |= 1 << cond.index();
-                read_op(if self.reg_i(*cond) != 0 { t } else { f }, &mut reads);
+                let taken = self.iregs[cond.index() as usize] != 0;
+                read_op(if taken { t } else { f }, &mut reads);
                 writes |= 1 << dst.index();
             }
             PInst::Load { dst, base, .. } => {
@@ -704,75 +623,14 @@ impl<'p> Machine<'p> {
         (reads, writes)
     }
 
-    #[inline]
-    fn reg_i(&self, p: Preg) -> u64 {
-        debug_assert_eq!(p.class(), RegClass::Int);
-        self.iregs[p.index() as usize]
-    }
-
-    #[inline]
-    fn reg_f(&self, p: Preg) -> f64 {
-        debug_assert_eq!(p.class(), RegClass::Float);
-        self.fregs[p.index() as usize]
-    }
-
-    #[inline]
-    fn ival(&self, o: POperand) -> u64 {
-        match o {
-            POperand::Reg(r) => self.reg_i(r),
-            POperand::Imm(i) => i as u64,
-        }
-    }
-
-    #[inline]
-    fn set_i(&mut self, p: Preg, v: u64) {
-        debug_assert_eq!(p.class(), RegClass::Int);
-        self.iregs[p.index() as usize] = v;
-    }
-
-    #[inline]
-    fn set_f(&mut self, p: Preg, v: f64) {
-        debug_assert_eq!(p.class(), RegClass::Float);
-        self.fregs[p.index() as usize] = v;
-    }
-
-    fn sp(&self) -> u64 {
-        self.iregs[SP_IDX]
-    }
-
-    #[inline]
-    fn tick(&mut self, srcs: &[Preg], dst: Option<Preg>, latency: u64) {
-        if let Some(t) = &mut self.timing {
-            t.issue(srcs, dst, latency);
-        }
-    }
-
-    fn read_parg(&mut self, a: &PArg) -> Result<Val, ()> {
-        Ok(match a {
-            PArg::Imm(i) => Val::I(*i as u64),
-            PArg::Reg(p) => match p.class() {
-                RegClass::Int => Val::I(self.reg_i(*p)),
-                RegClass::Float => Val::F(self.reg_f(*p)),
-            },
-            PArg::Slot(s, class) => {
-                let addr = self.sp() + 8 * *s as u64;
-                let bits = self.mem.read(addr, 8).map_err(|_| ())?;
-                match class {
-                    RegClass::Int => Val::I(bits),
-                    RegClass::Float => Val::F(f64::from_bits(bits)),
-                }
-            }
-        })
-    }
-
     pub(crate) fn write_ploc(&mut self, l: &PLoc, v: Val) -> Result<(), ()> {
         match l {
             PLoc::Reg(p) => match v {
-                Val::I(x) => self.set_i(*p, x),
-                Val::F(x) => self.set_f(*p, x),
+                Val::I(x) => self.iregs[p.index() as usize] = x,
+                Val::F(x) => self.fregs[p.index() as usize] = x,
             },
             PLoc::Slot(s, _class) => {
-                let addr = self.sp() + 8 * *s as u64;
+                let addr = self.iregs[SP_IDX] + 8 * *s as u64;
                 let bits = match v {
                     Val::I(x) => x,
                     Val::F(x) => x.to_bits(),
@@ -781,328 +639,5 @@ impl<'p> Machine<'p> {
             }
         }
         Ok(())
-    }
-
-    fn op_src(o: POperand, buf: &mut [Preg; 3], n: &mut usize) {
-        if let POperand::Reg(r) = o {
-            buf[*n] = r;
-            *n += 1;
-        }
-    }
-
-    fn step(&mut self) -> Step {
-        let inst = &self.prog.insts[self.pc];
-        // Probes are free instrumentation: no count, no timing.
-        if let PInst::Probe(e) = inst {
-            match e {
-                ProbeEvent::VoteRepair => self.probes.vote_repairs += 1,
-                ProbeEvent::TrumpRecover => self.probes.trump_recovers += 1,
-            }
-            return Step::Next;
-        }
-        self.dyn_count += 1;
-
-        match inst {
-            PInst::Alu {
-                op,
-                width,
-                dst,
-                a,
-                b,
-            } => {
-                let x = self.ival(*a);
-                let y = self.ival(*b);
-                let r = match alu_eval(*op, *width, x, y) {
-                    Some(r) => r,
-                    None => return Step::Done(RunStatus::Segv), // division fault
-                };
-                let mut srcs = [*dst; 3];
-                let mut n = 0;
-                Self::op_src(*a, &mut srcs, &mut n);
-                Self::op_src(*b, &mut srcs, &mut n);
-                let lat = match op {
-                    AluOp::Mul => self.lat.mul,
-                    AluOp::DivU | AluOp::DivS | AluOp::RemU | AluOp::RemS => self.lat.div,
-                    _ => self.lat.alu,
-                };
-                self.tick(&srcs[..n], Some(*dst), lat);
-                self.set_i(*dst, r);
-                Step::Next
-            }
-            PInst::Cmp {
-                op,
-                width,
-                dst,
-                a,
-                b,
-            } => {
-                let x = self.ival(*a);
-                let y = self.ival(*b);
-                let r = cmp_eval(*op, *width, x, y) as u64;
-                let mut srcs = [*dst; 3];
-                let mut n = 0;
-                Self::op_src(*a, &mut srcs, &mut n);
-                Self::op_src(*b, &mut srcs, &mut n);
-                self.tick(&srcs[..n], Some(*dst), self.lat.alu);
-                self.set_i(*dst, r);
-                Step::Next
-            }
-            PInst::Mov { dst, src } => {
-                let v = self.ival(*src);
-                let mut srcs = [*dst; 3];
-                let mut n = 0;
-                Self::op_src(*src, &mut srcs, &mut n);
-                self.tick(&srcs[..n], Some(*dst), self.lat.alu);
-                self.set_i(*dst, v);
-                Step::Next
-            }
-            PInst::Select { dst, cond, t, f } => {
-                let c = self.reg_i(*cond);
-                let v = if c != 0 { self.ival(*t) } else { self.ival(*f) };
-                let mut srcs = [*cond; 3];
-                let mut n = 1;
-                Self::op_src(*t, &mut srcs, &mut n);
-                if n < 3 {
-                    Self::op_src(*f, &mut srcs, &mut n);
-                }
-                self.tick(&srcs[..n], Some(*dst), self.lat.alu);
-                self.set_i(*dst, v);
-                Step::Next
-            }
-            PInst::Load {
-                dst,
-                base,
-                offset,
-                width,
-                signed,
-            } => {
-                let addr = self.reg_i(*base).wrapping_add(*offset as u64);
-                if (layout::OUT_BASE..layout::OUT_BASE + layout::OUT_SIZE).contains(&addr) {
-                    return Step::Done(RunStatus::Segv); // output page is write-only
-                }
-                let raw = match self.mem.read(addr, width.bytes()) {
-                    Ok(v) => v,
-                    Err(_) => return Step::Done(RunStatus::Segv),
-                };
-                let v = if *signed {
-                    sign_extend(raw, *width)
-                } else {
-                    raw
-                };
-                let extra = match &mut self.timing {
-                    Some(t) => t.mem_access(addr),
-                    None => 0,
-                };
-                self.tick(&[*base], Some(*dst), self.lat.load + extra);
-                self.set_i(*dst, v);
-                Step::Next
-            }
-            PInst::Store {
-                base,
-                offset,
-                src,
-                width,
-            } => {
-                let addr = self.reg_i(*base).wrapping_add(*offset as u64);
-                let v = self.ival(*src);
-                if addr >= layout::OUT_BASE
-                    && addr + width.bytes() <= layout::OUT_BASE + layout::OUT_SIZE
-                {
-                    self.out.push(v & width.unsigned_max());
-                } else if self.mem.write(addr, width.bytes(), v).is_err() {
-                    return Step::Done(RunStatus::Segv);
-                } else if let Some(t) = &mut self.timing {
-                    t.mem_access(addr);
-                }
-                let mut srcs = [*base; 3];
-                let mut n = 1;
-                Self::op_src(*src, &mut srcs, &mut n);
-                self.tick(&srcs[..n], None, 1);
-                Step::Next
-            }
-            PInst::Fpu { op, dst, a, b } => {
-                let r = op.eval(self.reg_f(*a), self.reg_f(*b));
-                let lat = match op {
-                    FpOp::Add | FpOp::Sub | FpOp::Mul => self.lat.fp,
-                    FpOp::Div => self.lat.fdiv,
-                };
-                self.tick(&[*a, *b], Some(*dst), lat);
-                self.set_f(*dst, r);
-                Step::Next
-            }
-            PInst::FMovImm { dst, bits } => {
-                self.tick(&[], Some(*dst), self.lat.alu);
-                self.set_f(*dst, f64::from_bits(*bits));
-                Step::Next
-            }
-            PInst::FMov { dst, src } => {
-                let v = self.reg_f(*src);
-                self.tick(&[*src], Some(*dst), self.lat.alu);
-                self.set_f(*dst, v);
-                Step::Next
-            }
-            PInst::FCmp { op, dst, a, b } => {
-                let x = self.reg_f(*a);
-                let y = self.reg_f(*b);
-                let r = match op {
-                    CmpOp::Eq => x == y,
-                    CmpOp::Ne => x != y,
-                    CmpOp::LtS | CmpOp::LtU => x < y,
-                    CmpOp::LeS | CmpOp::LeU => x <= y,
-                };
-                self.tick(&[*a, *b], Some(*dst), self.lat.fp);
-                self.set_i(*dst, r as u64);
-                Step::Next
-            }
-            PInst::CvtIF { dst, src } => {
-                let v = self.reg_i(*src) as i64 as f64;
-                self.tick(&[*src], Some(*dst), self.lat.fp);
-                self.set_f(*dst, v);
-                Step::Next
-            }
-            PInst::CvtFI { dst, src } => {
-                let v = self.reg_f(*src) as i64 as u64;
-                self.tick(&[*src], Some(*dst), self.lat.fp);
-                self.set_i(*dst, v);
-                Step::Next
-            }
-            PInst::FLoad { dst, base, offset } => {
-                let addr = self.reg_i(*base).wrapping_add(*offset as u64);
-                if addr >= layout::OUT_BASE {
-                    return Step::Done(RunStatus::Segv);
-                }
-                let raw = match self.mem.read(addr, 8) {
-                    Ok(v) => v,
-                    Err(_) => return Step::Done(RunStatus::Segv),
-                };
-                let extra = match &mut self.timing {
-                    Some(t) => t.mem_access(addr),
-                    None => 0,
-                };
-                self.tick(&[*base], Some(*dst), self.lat.load + extra);
-                self.set_f(*dst, f64::from_bits(raw));
-                Step::Next
-            }
-            PInst::FStore { base, offset, src } => {
-                let addr = self.reg_i(*base).wrapping_add(*offset as u64);
-                let bits = self.reg_f(*src).to_bits();
-                if addr >= layout::OUT_BASE && addr + 8 <= layout::OUT_BASE + layout::OUT_SIZE {
-                    self.out.push(bits);
-                } else if self.mem.write(addr, 8, bits).is_err() {
-                    return Step::Done(RunStatus::Segv);
-                } else if let Some(t) = &mut self.timing {
-                    t.mem_access(addr);
-                }
-                self.tick(&[*base, *src], None, 1);
-                Step::Next
-            }
-            PInst::Jump(t) => {
-                // Unconditional jumps are resolved in the front end; they
-                // cost an issue slot but no redirect.
-                self.tick(&[], None, 1);
-                Step::Goto(*t)
-            }
-            PInst::Branch { cond, t, f } => {
-                let c = self.reg_i(*cond);
-                let taken = c != 0;
-                if let Some(tm) = &mut self.timing {
-                    tm.issue(&[*cond], None, 1);
-                    if taken {
-                        tm.taken_branch();
-                    }
-                }
-                Step::Goto(if taken { *t } else { *f })
-            }
-            PInst::CallInt { target, args, rets } => {
-                if self.frames.len() >= MAX_FRAMES {
-                    return Step::Done(RunStatus::Segv);
-                }
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    match self.read_parg(a) {
-                        Ok(v) => vals.push(v),
-                        Err(()) => return Step::Done(RunStatus::Segv),
-                    }
-                }
-                self.pending_args = vals;
-                self.frames.push(Frame {
-                    ret_pc: self.pc + 1,
-                    ret_dsts: RetDsts::from_slice(rets),
-                });
-                self.tick(&[], None, 2);
-                Step::Goto(*target)
-            }
-            PInst::CallExt { func, args } => {
-                let mut srcs = [Preg::int(0); 3];
-                let mut n = 0;
-                for a in args {
-                    if let PArg::Reg(p) = a {
-                        if n < 3 {
-                            srcs[n] = *p;
-                            n += 1;
-                        }
-                    }
-                }
-                let v = match self.read_parg(&args[0]) {
-                    Ok(v) => v,
-                    Err(()) => return Step::Done(RunStatus::Segv),
-                };
-                match (func, v) {
-                    (ExtFunc::Emit, Val::I(x)) => self.out.push(x),
-                    (ExtFunc::EmitF, Val::F(x)) => self.out.push(x.to_bits()),
-                    // Class mismatches cannot be produced by the lowering
-                    // pass; treat them as a fault if they ever appear.
-                    _ => return Step::Done(RunStatus::Segv),
-                }
-                self.tick(&srcs[..n], None, 1);
-                Step::Next
-            }
-            PInst::Enter { frame_size, params } => {
-                let new_sp = self.sp().wrapping_sub(*frame_size as u64);
-                if !(layout::STACK_BASE..=layout::STACK_TOP).contains(&new_sp) {
-                    return Step::Done(RunStatus::Segv);
-                }
-                self.iregs[SP_IDX] = new_sp;
-                let vals = std::mem::take(&mut self.pending_args);
-                if vals.len() != params.len() {
-                    return Step::Done(RunStatus::Segv);
-                }
-                for (l, v) in params.iter().zip(vals) {
-                    if self.write_ploc(l, v).is_err() {
-                        return Step::Done(RunStatus::Segv);
-                    }
-                }
-                self.tick(&[], None, 2);
-                Step::Next
-            }
-            PInst::Ret { vals, frame_size } => {
-                let mut out_vals = Vec::with_capacity(vals.len());
-                for v in vals {
-                    match self.read_parg(v) {
-                        Ok(x) => out_vals.push(x),
-                        Err(()) => return Step::Done(RunStatus::Segv),
-                    }
-                }
-                self.iregs[SP_IDX] = self.sp().wrapping_add(*frame_size as u64);
-                self.tick(&[], None, 2);
-                match self.frames.pop() {
-                    None => Step::Done(RunStatus::Completed),
-                    Some(frame) => {
-                        if out_vals.len() != frame.ret_dsts.as_slice().len() {
-                            return Step::Done(RunStatus::Segv);
-                        }
-                        for (l, v) in frame.ret_dsts.as_slice().iter().zip(out_vals) {
-                            if self.write_ploc(l, v).is_err() {
-                                return Step::Done(RunStatus::Segv);
-                            }
-                        }
-                        Step::Goto(frame.ret_pc)
-                    }
-                }
-            }
-            PInst::Trap(TrapKind::Detected) => Step::Done(RunStatus::Detected),
-            PInst::Trap(TrapKind::Abort) => Step::Done(RunStatus::Aborted),
-            PInst::Probe(_) => unreachable!("handled before counting"),
-        }
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::checkpoint::CheckpointStore;
 use crate::decode::DecodedProg;
-use crate::exec::{EarlyExit, Golden};
+use crate::exec::{EarlyExit, Golden, Untimed};
 use crate::fault::{FaultSpec, GenFault};
 use crate::machine::{Machine, MachineConfig, RunResult};
 use crate::outcome::{classify, Outcome};
@@ -107,7 +107,7 @@ impl<'p> Runner<'p> {
     /// Like [`Runner::new`], but reuses already-built images (the harness
     /// artifact store memoizes one predecoded and one compiled image per
     /// lowered program) instead of translating again. Both are ignored
-    /// under [`crate::ExecEngine::Legacy`]; `jit` is ignored under
+    /// under the legacy core (a test oracle); `jit` is ignored under
     /// [`crate::ExecEngine::Decoded`]. A `None` image the engine needs is built
     /// here; under the jit engine (the default) a failed native compile
     /// degrades to the decoded interpreter with a one-time warning.
@@ -133,9 +133,7 @@ impl<'p> Runner<'p> {
             ..cfg.clone()
         };
         let machine = |cfg: &MachineConfig| match &decoded {
-            Some(d) if cfg.timing.is_none() => {
-                Machine::with_images(prog, cfg, Arc::clone(d), jit.clone())
-            }
+            Some(d) => Machine::with_images(prog, cfg, Arc::clone(d), jit.clone()),
             _ => Machine::new(prog, cfg),
         };
         let record = |interval: u64| {
@@ -363,7 +361,8 @@ impl Replayer<'_, '_> {
                     cps,
                     restored,
                 };
-                self.machine.run_decoded(&d, Some(fault), Some(&g))
+                self.machine
+                    .run_decoded(&d, Some(fault), Some(&g), &mut Untimed)
             }
             None => Ok(self.machine.run_mut(Some(fault))),
         };
